@@ -132,7 +132,7 @@ def cmd_retrain(args) -> int:
     config = load_config(args.config)
     out = _out_dir(config, args.out)
     dataset, dataset_path = resolve_dataset(config, out)
-    split = load_split(args.split)
+    split = load_split(args.split, len(dataset))
     model_cfg = ModelConfig.from_dict(config["model"])
     train_cfg = TrainConfig.from_dict(config["train"])
     ckpt = retrain_oracle(model_cfg, train_cfg, dataset, split)
@@ -149,7 +149,7 @@ def cmd_unlearn(args) -> int:
     config = load_config(args.config)
     out = _out_dir(config, args.out)
     dataset, dataset_path = resolve_dataset(config, out)
-    split = load_split(args.split)
+    split = load_split(args.split, len(dataset))
     pretrained = load_checkpoint(args.pretrained)
     method_cfg = dict(config["unlearn"][args.method])
     method_cfg["method"] = args.method
@@ -170,7 +170,6 @@ def cmd_unlearn(args) -> int:
 def cmd_eval(args) -> int:
     ckpt_u = load_checkpoint(args.model)
     ckpt_ref = load_checkpoint(args.reference)
-    split = load_split(args.split)
     if args.dataset:
         dataset = load_csv_dataset(args.dataset)
     else:
@@ -181,6 +180,7 @@ def cmd_eval(args) -> int:
             )
             return 1
         dataset = load_csv_dataset(dataset_path)
+    split = load_split(args.split, len(dataset))
     rte = float(ckpt_u.provenance.get("wall_seconds", 0.0))
     report = full_report(ckpt_u, ckpt_ref, dataset, split, rte_seconds=rte)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -300,6 +300,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except KeyError as exc:
+        sys.stderr.write(f"error: missing key {exc}\n")
         return 1
 
 

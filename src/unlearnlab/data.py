@@ -8,6 +8,8 @@ round-trips exactly) and JSON for index splits.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,12 @@ class Dataset:
             raise ValueError("features must be (N, dim) aligned with labels (N,)")
         if len(self.labels) < 1:
             raise ValueError("dataset must contain at least one sample")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ValueError(
+                f"features must be finite; row {row} holds {self.features[row]}"
+            )
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
             raise ValueError(
                 f"labels must lie in [0, {self.class_count}), got "
@@ -57,9 +65,10 @@ class ForgetSplit:
             raise ValueError("forget set must be nonempty")
         if len(self.remain_idx) == 0:
             raise ValueError("remain set must be nonempty")
-        sets = [set(self.forget_idx), set(self.remain_idx), set(self.test_idx)]
-        total = len(self.forget_idx) + len(self.remain_idx) + len(self.test_idx)
-        if len(sets[0] | sets[1] | sets[2]) != total:
+        every = np.concatenate([self.forget_idx, self.remain_idx, self.test_idx])
+        if every.min() < 0:
+            raise ValueError(f"split indices must be >= 0, got {every.min()}")
+        if len(np.unique(every)) != len(every):
             raise ValueError("split index sets overlap")
 
     @property
@@ -154,19 +163,52 @@ def make_classwise_split(
 def save_csv_dataset(dataset: Dataset, path: str) -> None:
     dim = dataset.features.shape[1]
     header = "label," + ",".join(f"f{i}" for i in range(dim))
+    line = "%d" + ",%.17g" * dim + "\n"
+    rows = zip(dataset.labels.tolist(), dataset.features.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for label, row in zip(dataset.labels, dataset.features):
-            fh.write(str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(line % (label, *values) for label, values in rows)
 
 
 def load_csv_dataset(path: str, class_count: int | None = None) -> Dataset:
-    """Load ``label,f0,f1,...`` CSV; malformed rows report their line number."""
+    """Load ``label,f0,f1,...`` CSV; malformed rows report their line number.
+
+    The body is parsed in one vectorized pass. Only when that pass fails, or
+    finds a non-finite feature, does a row-by-row parse run; it reports the
+    first bad row with its physical line number (blank lines are skipped but
+    counted). Values follow Python's ``int``/``float`` parsing either way.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        if not header.startswith("label,"):
+            raise ValueError(f"{path}: missing 'label,f0,...' header row")
+        n_cols = len(header.split(","))
+        row = np.dtype(
+            [("label", np.int64), ("features", np.float64, (n_cols - 1,))]
+        )
+        try:
+            with warnings.catch_warnings():
+                # An empty body is reported by the row-by-row parse below.
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(
+                    fh, dtype=row, delimiter=",", comments=None, ndmin=1
+                )
+        except ValueError:
+            table = None
+    if table is not None and len(table) and np.isfinite(table["features"]).all():
+        labels = np.ascontiguousarray(table["label"])
+        features = np.ascontiguousarray(table["features"])
+    else:
+        labels, features = _parse_csv_rows(path, n_cols)
+    if class_count is None:
+        class_count = int(labels.max()) + 1
+    return Dataset(features, labels, class_count)
+
+
+def _parse_csv_rows(path: str, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row parse of the body; raises at the first bad row."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("label,"):
-        raise ValueError(f"{path}: missing 'label,f0,...' header row")
-    n_cols = len(lines[0].split(","))
     labels = []
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -182,12 +224,11 @@ def load_csv_dataset(path: str, class_count: int | None = None) -> Dataset:
             rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ValueError(f"{path}: line {lineno}: features must be finite")
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    if class_count is None:
-        class_count = int(labels_arr.max()) + 1
-    return Dataset(np.asarray(rows, dtype=np.float64), labels_arr, class_count)
+    return np.asarray(labels, dtype=np.int64), np.asarray(rows, dtype=np.float64)
 
 
 def save_split(split: ForgetSplit, path: str) -> None:
@@ -202,12 +243,22 @@ def save_split(split: ForgetSplit, path: str) -> None:
         fh.write("\n")
 
 
-def load_split(path: str) -> ForgetSplit:
+def load_split(path: str, n_rows: int | None = None) -> ForgetSplit:
+    """Load a split; with ``n_rows``, also reject indices past the last row
+    of an ``n_rows``-row dataset."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return ForgetSplit(
+    split = ForgetSplit(
         forget_idx=np.asarray(payload["forget_idx"], dtype=np.int64),
         remain_idx=np.asarray(payload["remain_idx"], dtype=np.int64),
         test_idx=np.asarray(payload["test_idx"], dtype=np.int64),
         mode=dict(payload.get("mode", {})),
     )
+    if n_rows is not None:
+        top = int(np.concatenate([split.train_idx, split.test_idx]).max())
+        if top >= n_rows:
+            raise ValueError(
+                f"{path}: index {top} is past the last row of a "
+                f"{n_rows}-row dataset"
+            )
+    return split

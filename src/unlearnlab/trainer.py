@@ -53,6 +53,9 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
+        unknown = sorted(set(d) - set(TrainConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown train config keys {unknown}")
         return TrainConfig(
             lr=float(d["lr"]),
             epochs=int(d["epochs"]),

@@ -97,7 +97,10 @@ class UnlearnConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "UnlearnConfig":
-        return UnlearnConfig(**{k: d[k] for k in d if k in UnlearnConfig.__dataclass_fields__})
+        unknown = sorted(set(d) - set(UnlearnConfig.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown unlearn config keys {unknown}")
+        return UnlearnConfig(**d)
 
 
 @dataclass

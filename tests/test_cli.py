@@ -117,6 +117,46 @@ def test_missing_file_is_runtime_error(tmp_path):
                  "--split", "missing", "--out", str(tmp_path / "r.json")]) == 1
 
 
+def test_split_past_the_dataset_is_rejected_before_any_work(tmp_path, capsys):
+    out = tmp_path / "past"
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    bad = tmp_path / "past.json"
+    bad.write_text('{"forget_idx": [0], "remain_idx": [1, 120], "test_idx": [], "mode": {}}')
+    pre = str(out / "pretrain")
+    assert main(["retrain", "--config", str(cfg_path), "--split", str(bad)]) == 1
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "sfr_on",
+                 "--pretrained", pre, "--split", str(bad)]) == 1
+    assert main(["eval", "--model", pre, "--reference", pre, "--split", str(bad),
+                 "--out", str(out / "r.json")]) == 1
+    assert not (out / "retrain").exists() and not (out / "unlearn_sfr_on").exists()
+    assert not (out / "r.json").exists()
+    assert "index 120 is past the last row of a 120-row dataset" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_an_error(tmp_path, capsys):
+    out = tmp_path / "typo"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    config["unlearn"]["sfr_on"]["beta_F"] = 9.0
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "sfr_on",
+                 "--pretrained", str(out / "pretrain"),
+                 "--split", str(out / "split.json")]) == 1
+    assert "unknown unlearn config keys ['beta_F']" in capsys.readouterr().err
+
+
+def test_missing_config_field_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, tmp_path / "nofield")
+    del config["train"]["batch_size"]
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: missing key 'batch_size'\n"
+
+
 def test_verify_command(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--suite", "klmix", "--out", str(out)]) == 0

@@ -1,11 +1,18 @@
 """Dataset generation, splits, and file round-trips."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unlearnlab.data import (
     Dataset,
     ForgetSplit,
+    _parse_csv_rows,
     generate_blobs,
     load_csv_dataset,
     load_split,
@@ -117,6 +124,69 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 2"):
             load_csv_dataset(str(p))
 
+    @pytest.mark.parametrize("label", ["1.5", "1.0"])
+    def test_non_integer_label_reports_line(self, tmp_path, label):
+        p = tmp_path / "float_label.csv"
+        p.write_text(f"label,f0\n0,2.5\n{label},1.5\n")
+        with pytest.raises(ValueError, match="line 3: invalid literal for int"):
+            load_csv_dataset(str(p))
+
+    def test_ragged_rows_with_a_matching_cell_count_are_rejected(self, tmp_path):
+        # 3 + 1 cells fill two 2-column rows, but neither row has 2 columns.
+        p = tmp_path / "ragged.csv"
+        p.write_text("label,f0\n0,1,2\n1\n")
+        with pytest.raises(ValueError, match="line 2: expected 2 columns, got 3"):
+            load_csv_dataset(str(p))
+
+    def test_whitespace_line_is_a_row_not_a_blank(self, tmp_path):
+        p = tmp_path / "ws.csv"
+        p.write_text("label,f0\n0,1\n \n1,2\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 columns, got 1"):
+            load_csv_dataset(str(p))
+
+    def test_values_follow_python_parsing(self, tmp_path):
+        p = tmp_path / "python.csv"
+        p.write_text("label,f0,f1\n 1_0 ,1_5, -2.5e-1 \n")
+        d = load_csv_dataset(str(p))
+        assert d.labels.tolist() == [10]
+        assert d.features.tolist() == [[15.0, -0.25]]
+
+    def test_no_data_rows(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("label,f0\n\n\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv_dataset(str(p))
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"label,f0,f1\n0,1,2\n\n1,{value},3\n")
+        with pytest.raises(ValueError, match="line 4: features must be finite"):
+            load_csv_dataset(str(p))
+
+    def test_loaded_arrays_are_contiguous(self, tmp_path):
+        d = generate_blobs(seed=12, n_per_class=5, class_count=2, dim=3, spread=1.0)
+        p = tmp_path / "blobs.csv"
+        save_csv_dataset(d, str(p))
+        loaded = load_csv_dataset(str(p))
+        assert loaded.features.flags.c_contiguous and loaded.labels.flags.c_contiguous
+        assert loaded.features.dtype == np.float64 and loaded.labels.dtype == np.int64
+
+    def test_writer_matches_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(13)
+        special = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        feats = np.concatenate(
+            [np.array(special).reshape(2, 2), rng.standard_normal((50, 2)) * 1e3]
+        )
+        d = Dataset(feats, rng.integers(0, 3, size=len(feats)), class_count=3)
+        p = tmp_path / "fmt.csv"
+        save_csv_dataset(d, str(p))
+        expected = "label,f0,f1\n" + "".join(
+            str(int(label)) + "," + ",".join(f"{v:.17g}" for v in row) + "\n"
+            for label, row in zip(d.labels, d.features)
+        )
+        assert p.read_bytes() == expected.encode("utf-8")
+
     def test_missing_header(self, tmp_path):
         p = tmp_path / "noheader.csv"
         p.write_text("2,1.5\n")
@@ -153,12 +223,122 @@ class TestSplitRoundTrip:
         with pytest.raises(ValueError, match="forget"):
             load_split(str(p))
 
+    def test_index_past_last_row_rejected(self, tmp_path):
+        p = tmp_path / "past.json"
+        p.write_text('{"forget_idx": [0], "remain_idx": [1], "test_idx": [3], "mode": {}}')
+        assert len(load_split(str(p), n_rows=4).test_idx) == 1
+        with pytest.raises(ValueError, match="index 3 is past the last row"):
+            load_split(str(p), n_rows=3)
+
 
 def test_dataset_label_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), class_count=2)
 
 
+def test_dataset_rejects_non_finite_features():
+    feats = np.zeros((3, 2))
+    feats[1, 0] = np.inf
+    with pytest.raises(ValueError, match="row 1"):
+        Dataset(feats, np.array([0, 1, 0]), class_count=2)
+
+
 def test_forget_split_validation():
     with pytest.raises(ValueError):
         ForgetSplit(np.array([0]), np.array([0]), np.array([], dtype=int))
+
+
+def test_forget_split_rejects_negative_index():
+    with pytest.raises(ValueError, match=">= 0"):
+        ForgetSplit([-1], [0, 1], [2])
+
+
+# Property tests: the file formats round-trip exactly, and a bad CSV row is
+# reported by its physical line number however many blank lines precede it.
+
+finite_f64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def datasets(draw):
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 5))
+    class_count = draw(st.integers(1, 6))
+    feats = draw(arrays(np.float64, (n, dim), elements=finite_f64))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, class_count - 1)))
+    return Dataset(feats, labels, class_count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets())
+def test_csv_round_trip_is_bit_exact(dataset):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        save_csv_dataset(dataset, path)
+        loaded = load_csv_dataset(path, dataset.class_count)
+        # The row-by-row parser is the reference for the vectorized one.
+        ref_labels, ref_features = _parse_csv_rows(path, dataset.features.shape[1] + 1)
+    assert loaded.features.tobytes() == dataset.features.tobytes()
+    assert loaded.features.tobytes() == ref_features.tobytes()
+    assert np.array_equal(loaded.labels, dataset.labels)
+    assert np.array_equal(ref_labels, dataset.labels)
+
+
+BAD_ROWS = {
+    "0,1.5,2,3": "expected 3 columns, got 4",
+    "0,1.5": "expected 3 columns, got 2",
+    "x,1.5,2": "invalid literal for int",
+    "1.5,1.5,2": "invalid literal for int",
+    "0,abc,2": "could not convert string to float",
+    "0,1.5,nan": "features must be finite",
+    "0,inf,2": "features must be finite",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    before=st.lists(st.sampled_from(["0,1.5,2", ""]), max_size=15),
+    after=st.lists(st.sampled_from(["1,3,4", ""]), max_size=5),
+    bad=st.sampled_from(sorted(BAD_ROWS)),
+)
+def test_bad_row_reports_its_physical_line(before, after, bad):
+    text = "\n".join(["label,f0,f1", *before, bad, *after]) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bad.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError) as exc:
+            load_csv_dataset(path)
+    assert str(exc.value).startswith(f"{path}: line {len(before) + 2}: {BAD_ROWS[bad]}")
+
+
+@st.composite
+def splits(draw):
+    n = draw(st.integers(2, 40))
+    perm = draw(st.permutations(range(n)))
+    n_forget = draw(st.integers(1, n - 1))
+    n_remain = draw(st.integers(1, n - n_forget))
+    mode = draw(
+        st.dictionaries(
+            st.text(max_size=8),
+            st.one_of(st.integers(-5, 5), finite_f64, st.text(max_size=8)),
+            max_size=3,
+        )
+    )
+    return ForgetSplit(
+        perm[:n_forget], perm[n_forget:n_forget + n_remain],
+        perm[n_forget + n_remain:], mode,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(splits())
+def test_split_json_round_trip(split):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "split.json")
+        save_split(split, path)
+        loaded = load_split(path, n_rows=len(split.train_idx) + len(split.test_idx))
+    for name in ("forget_idx", "remain_idx", "test_idx"):
+        assert np.array_equal(getattr(loaded, name), getattr(split, name))
+        assert getattr(loaded, name).dtype == np.int64
+    assert loaded.mode == split.mode

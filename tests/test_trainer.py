@@ -25,6 +25,11 @@ def toy():
     return dataset, split
 
 
+def test_train_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="momentom"):
+        TrainConfig.from_dict({"lr": 0.1, "epochs": 1, "batch_size": 8, "momentom": 0.9})
+
+
 def test_zero_epochs_returns_init(toy):
     dataset, split = toy
     cfg = ModelConfig(layer_sizes=(4, 3), seed=1)

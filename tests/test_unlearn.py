@@ -313,3 +313,7 @@ class TestDispatch:
     def test_config_roundtrip(self):
         ucfg = UnlearnConfig(method="sfr_on", alpha=0.7, seed=3)
         assert UnlearnConfig.from_dict(ucfg.to_dict()) == ucfg
+
+    def test_config_rejects_unknown_keys(self):
+        with pytest.raises(ValueError, match="beta_F"):
+            UnlearnConfig.from_dict({"method": "sfr_on", "beta_F": 9.0})

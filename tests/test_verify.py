@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from unlearnlab.data import generate_blobs, make_random_subset_split
-from unlearnlab.model import ModelConfig, init_params, loss_and_grad, param_count
+from unlearnlab.model import (
+    ModelConfig,
+    init_params,
+    loss_and_grad,
+    param_count,
+    per_sample_losses,
+)
 from unlearnlab.autodiff import finite_diff_gradient
 from unlearnlab.verify import (
     QuadraticTestbed,
@@ -191,6 +197,19 @@ class TestCheckGradients:
 
     def test_twenty_seeds(self):
         assert check_gradients(seeds=20) <= 1e-6
+
+    def test_tape_free_objective_equals_the_tape_value(self):
+        # check_gradients differentiates this tape-free form numerically; it
+        # must be the very number the tape reports.
+        rng = np.random.default_rng(9)
+        for seed in range(5):
+            cfg = ModelConfig(layer_sizes=(4, 7, 3), init_scale=1.0, seed=seed)
+            theta = init_params(cfg)
+            x = rng.standard_normal((8, 4))
+            y = rng.integers(0, 3, size=8)
+            w = rng.uniform(0.2, 2.0, size=8)
+            value, _ = loss_and_grad(theta, cfg, x, y, w)
+            assert np.mean(w * per_sample_losses(theta, cfg, x, y)) == value
 
 
 class TestSuiteRunner:
