@@ -156,6 +156,17 @@ def sum_all(x: Tensor) -> Tensor:
     return Tensor(x.data.sum(), (x,), backward_fn)
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of ``logits[B, C]``, stabilized by row-max subtraction."""
+    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return expz / expz.sum(axis=1, keepdims=True)
+
+
+def log_clamped(probs: np.ndarray) -> np.ndarray:
+    """Natural log of probabilities floored at ``PROB_CLAMP``."""
+    return np.log(np.maximum(probs, PROB_CLAMP))
+
+
 def softmax_cross_entropy(
     logits: Tensor,
     labels: np.ndarray,
@@ -186,12 +197,9 @@ def softmax_cross_entropy(
         if not np.all(np.isfinite(w)):
             raise ValueError("sample_weights must be finite")
 
-    shifted = z - z.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    probs = softmax(z)
     p_true = probs[np.arange(n), labels]
-    losses = -np.log(np.maximum(p_true, PROB_CLAMP))
-    out = (w * losses).mean()
+    out = (w * -log_clamped(p_true)).mean()
 
     def backward_fn(out_grad):
         # Rows whose clamped true-class probability sits below the floor are

@@ -59,14 +59,26 @@ def _write_provenance(directory: str, config: dict, extra: dict | None = None) -
 def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     """Load or materialize the configured dataset; returns it with its path.
 
-    Generated datasets are written to ``out_dir/dataset.csv`` once so every
-    later command and checkpoint refers to the same file.
+    Generated datasets are written to ``out_dir/dataset.csv`` once, with the
+    generating spec in ``dataset.spec.json`` beside it, so every later
+    command and checkpoint refers to the same file. A CSV whose recorded
+    spec differs from the config's is an error, not a silent reuse.
     """
     spec = config["dataset"]
     if spec.get("kind") == "csv":
         return load_csv_dataset(spec["path"], spec.get("class_count")), spec["path"]
     materialized = os.path.join(out_dir, "dataset.csv")
+    spec_path = os.path.join(out_dir, "dataset.spec.json")
     if os.path.exists(materialized):
+        recorded = None
+        if os.path.exists(spec_path):
+            with open(spec_path, "r", encoding="utf-8") as fh:
+                recorded = json.load(fh)
+        if recorded != spec:
+            raise ValueError(
+                f"{materialized} was generated from dataset spec {recorded}, not "
+                f"{spec}; remove it or choose another output_dir"
+            )
         return load_csv_dataset(materialized), materialized
     dataset = generate_blobs(
         seed=int(spec["seed"]),
@@ -76,6 +88,7 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
         spread=float(spec["spread"]),
     )
     save_csv_dataset(dataset, materialized)
+    _write_json(spec_path, spec)
     return dataset, materialized
 
 

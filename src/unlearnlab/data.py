@@ -224,6 +224,8 @@ def _parse_csv_rows(path: str, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
             rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if not -(2**63) <= labels[-1] < 2**63:
+            raise ValueError(f"{path}: line {lineno}: label {labels[-1]} is outside int64")
         if not all(map(math.isfinite, rows[-1])):
             raise ValueError(f"{path}: line {lineno}: features must be finite")
     if not rows:

@@ -9,15 +9,20 @@ in percentage points, and run-time seconds. Natural logs throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .autodiff import log_clamped, softmax
 from .data import Dataset, ForgetSplit
-from .model import ModelConfig, forward_logits, predict_labels
+from .model import (
+    ModelConfig,
+    argmax_labels,
+    forward_logits,
+    predict_labels,
+    strict_from_dict,
+)
 from .trainer import Checkpoint
-
-PROB_CLAMP = 1e-12
 
 # The attack classifier is pinned for determinism: single standardized
 # entropy feature, zero init, 500 full-batch gradient steps at lr 0.1.
@@ -38,34 +43,14 @@ class MetricsReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "fa": self.fa,
-            "ra": self.ra,
-            "ta": self.ta,
-            "mia": self.mia,
-            "kl_to_ref": self.kl_to_ref,
-            "avg_d": self.avg_d,
-            "rte_seconds": self.rte_seconds,
-            "gaps": self.gaps,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    @staticmethod
-    def from_dict(d: dict) -> "MetricsReport":
-        return MetricsReport(
-            fa=float(d["fa"]),
-            ra=float(d["ra"]),
-            ta=float(d["ta"]),
-            mia=float(d["mia"]),
-            kl_to_ref=float(d["kl_to_ref"]),
-            avg_d=float(d["avg_d"]),
-            rte_seconds=float(d["rte_seconds"]),
-            gaps=dict(d.get("gaps", {})),
-            provenance=dict(d.get("provenance", {})),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "MetricsReport":
+        return strict_from_dict(cls, d, "report")
 
     def markdown_row(self) -> str:
         """Seven cells: FA/RA/TA/MIA with gaps in parentheses, Avg.D, KL, RTE."""
@@ -97,16 +82,13 @@ def accuracy(
     return float(np.mean(preds == dataset.labels[indices]))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=1, keepdims=True)
+def _entropy(probs: np.ndarray) -> np.ndarray:
+    return -np.sum(probs * log_clamped(probs), axis=1)
 
 
 def prediction_entropy(theta: np.ndarray, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    """Label-agnostic entropy H_i = -sum_c p_ic ln p_ic, clamped at 1e-12."""
-    probs = _softmax(forward_logits(theta, cfg, x))
-    return -np.sum(probs * np.log(np.maximum(probs, PROB_CLAMP)), axis=1)
+    """Label-agnostic entropy H_i = -sum_c p_ic ln p_ic, clamped at ``PROB_CLAMP``."""
+    return _entropy(softmax(forward_logits(theta, cfg, x)))
 
 
 def entropy_attack(
@@ -143,35 +125,20 @@ def entropy_attack(
     return float(np.mean(scores >= 0.0)), False
 
 
-def mia_success_rate(
-    theta: np.ndarray, cfg: ModelConfig, split: ForgetSplit, dataset: Dataset
-) -> float:
-    """Membership-inference true-positive rate on the forget set."""
-    for name, idx in (("remain", split.remain_idx), ("test", split.test_idx),
-                      ("forget", split.forget_idx)):
-        if len(idx) == 0:
-            raise ValueError(f"{name} set must be nonempty for the attack")
-    h_remain = prediction_entropy(theta, cfg, dataset.features[split.remain_idx])
-    h_test = prediction_entropy(theta, cfg, dataset.features[split.test_idx])
-    h_forget = prediction_entropy(theta, cfg, dataset.features[split.forget_idx])
-    rate, _ = entropy_attack(h_remain, h_test, h_forget)
-    return rate
-
-
 def empirical_kl(
     ckpt_u: Checkpoint, ckpt_ref: Checkpoint, dataset: Dataset, split: ForgetSplit
 ) -> float:
     """Mean over remain + forget samples of sum_c p_ref ln(p_ref / p_u)."""
-    if ckpt_u.model_config != ckpt_ref.model_config:
-        raise ValueError("checkpoints use different model configs")
-    idx = np.concatenate([split.remain_idx, split.forget_idx])
-    x = dataset.features[idx]
-    p_ref = _softmax(forward_logits(ckpt_ref.params, ckpt_ref.model_config, x))
-    p_u = _softmax(forward_logits(ckpt_u.params, ckpt_u.model_config, x))
-    log_ratio = np.log(np.maximum(p_ref, PROB_CLAMP)) - np.log(
-        np.maximum(p_u, PROB_CLAMP)
-    )
-    return float(np.mean(np.sum(p_ref * log_ratio, axis=1)))
+    _check_same_config(ckpt_u, ckpt_ref)
+    x = dataset.features[np.concatenate([split.remain_idx, split.forget_idx])]
+    p_ref = softmax(forward_logits(ckpt_ref.params, ckpt_ref.model_config, x))
+    p_u = softmax(forward_logits(ckpt_u.params, ckpt_u.model_config, x))
+    return _mean_kl(p_ref, p_u)
+
+
+def _mean_kl(p_ref: np.ndarray, p_u: np.ndarray) -> float:
+    """Mean over rows of sum_c p_ref ln(p_ref / p_u), both clamped in the log."""
+    return float(np.mean(np.sum(p_ref * (log_clamped(p_ref) - log_clamped(p_u)), axis=1)))
 
 
 def avg_disparity(report_u: MetricsReport, report_ref: MetricsReport) -> float:
@@ -185,18 +152,27 @@ def avg_disparity(report_u: MetricsReport, report_ref: MetricsReport) -> float:
     return 100.0 * float(np.mean(gaps))
 
 
-def _basic_metrics(
-    ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit
-) -> tuple[float, float, float, float, bool]:
-    theta, cfg = ckpt.params, ckpt.model_config
-    fa = accuracy(theta, cfg, dataset, split.forget_idx)
-    ra = accuracy(theta, cfg, dataset, split.remain_idx)
-    ta = accuracy(theta, cfg, dataset, split.test_idx)
-    h_remain = prediction_entropy(theta, cfg, dataset.features[split.remain_idx])
-    h_test = prediction_entropy(theta, cfg, dataset.features[split.test_idx])
-    h_forget = prediction_entropy(theta, cfg, dataset.features[split.forget_idx])
-    mia, fallback = entropy_attack(h_remain, h_test, h_forget)
-    return fa, ra, ta, mia, fallback
+def _check_same_config(ckpt_u: Checkpoint, ckpt_ref: Checkpoint) -> None:
+    if ckpt_u.model_config != ckpt_ref.model_config:
+        raise ValueError("checkpoints use different model configs")
+
+
+def _evaluate(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit):
+    """One forward pass per subset: FA/RA/TA, the attack's rate and fallback
+    flag, and the remain + forget softmax outputs that the KL reads."""
+    acc, probs = {}, {}
+    for key, name, idx in (("fa", "forget", split.forget_idx),
+                           ("ra", "remain", split.remain_idx),
+                           ("ta", "test", split.test_idx)):
+        if len(idx) == 0:
+            raise ValueError(f"{name} set must be nonempty for the report")
+        logits = forward_logits(ckpt.params, ckpt.model_config, dataset.features[idx])
+        acc[key] = float(np.mean(argmax_labels(logits) == dataset.labels[idx]))
+        probs[name] = softmax(logits)
+    mia, fallback = entropy_attack(
+        _entropy(probs["remain"]), _entropy(probs["test"]), _entropy(probs["forget"])
+    )
+    return acc, mia, fallback, np.concatenate([probs["remain"], probs["forget"]])
 
 
 def full_report(
@@ -206,30 +182,26 @@ def full_report(
     split: ForgetSplit,
     rte_seconds: float = 0.0,
 ) -> MetricsReport:
-    """Compose all metrics for one unlearned checkpoint vs. its reference."""
-    fa, ra, ta, mia, fb_u = _basic_metrics(ckpt_u, dataset, split)
-    fa_r, ra_r, ta_r, mia_r, fb_r = _basic_metrics(ckpt_ref, dataset, split)
-    gaps = {
-        "fa": 100.0 * abs(fa - fa_r),
-        "ra": 100.0 * abs(ra - ra_r),
-        "ta": 100.0 * abs(ta - ta_r),
-        "mia": 100.0 * abs(mia - mia_r),
-    }
+    """Compose all metrics for one unlearned checkpoint vs. its reference.
+
+    Each checkpoint runs one forward pass per subset; accuracies, entropies
+    and the KL (over remain + forget, as in ``empirical_kl``) all read them.
+    """
+    _check_same_config(ckpt_u, ckpt_ref)
+    acc, mia, fb_u, p_u = _evaluate(ckpt_u, dataset, split)
+    ref, mia_r, fb_r, p_ref = _evaluate(ckpt_ref, dataset, split)
+    gaps = {key: 100.0 * abs(acc[key] - ref[key]) for key in acc}
+    gaps["mia"] = 100.0 * abs(mia - mia_r)
     provenance = {
         "method": ckpt_u.provenance.get("method"),
         "seeds": ckpt_u.provenance.get("seeds", {}),
-        "reference": {
-            "fa": fa_r, "ra": ra_r, "ta": ta_r, "mia": mia_r,
-            "role": ckpt_ref.provenance.get("role"),
-        },
+        "reference": {**ref, "mia": mia_r, "role": ckpt_ref.provenance.get("role")},
         "mia_fallback": {"model": fb_u, "reference": fb_r},
     }
     return MetricsReport(
-        fa=fa,
-        ra=ra,
-        ta=ta,
+        **acc,
         mia=mia,
-        kl_to_ref=empirical_kl(ckpt_u, ckpt_ref, dataset, split),
+        kl_to_ref=_mean_kl(p_ref, p_u),
         avg_d=float(np.mean(list(gaps.values()))),
         rte_seconds=rte_seconds,
         gaps=gaps,

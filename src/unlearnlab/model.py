@@ -7,6 +7,8 @@ gradients, Fisher diagonals, and masks all align coordinate-by-coordinate.
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +18,45 @@ from .autodiff import (
     Tensor,
     affine,
     backward,
+    log_clamped,
     relu,
+    softmax,
     softmax_cross_entropy,
 )
+
+
+def strict_from_dict(cls, d: dict, what: str):
+    """Build dataclass ``cls`` from a JSON table, one field per key.
+
+    An unknown key raises ``ValueError`` naming ``what``; a missing key with
+    no default raises ``KeyError``. ``float`` fields store ``float``, and
+    ``int`` fields (and each entry of a ``tuple[int, ...]``) take integral
+    numbers only: ``2.0`` becomes ``2``, ``2.7`` is an error.
+    """
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        if f.name in d:
+            kwargs[f.name] = _coerce(d[f.name], types[f.name], f"{what} key '{f.name}'")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise KeyError(f.name)
+    return cls(**kwargs)
+
+
+def _coerce(value, kind, where: str):
+    if kind == tuple[int, ...] and isinstance(value, (list, tuple)):
+        return tuple(_coerce(v, int, where) for v in value)
+    if kind not in (int, float):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -47,19 +85,11 @@ class ModelConfig:
         return self.layer_sizes[-1]
 
     def to_dict(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "init_scale": self.init_scale,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(
-            layer_sizes=tuple(d["layer_sizes"]),
-            init_scale=float(d["init_scale"]),
-            seed=int(d["seed"]),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelConfig":
+        return strict_from_dict(cls, d, "model config")
 
 
 def layer_shapes(cfg: ModelConfig) -> list[tuple[tuple[int, int], int]]:
@@ -168,13 +198,9 @@ def per_sample_losses(
     theta: np.ndarray, cfg: ModelConfig, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """Per-sample cross-entropy, tape-free (used for adaptive weighting)."""
-    logits = forward_logits(theta, cfg, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    probs = softmax(forward_logits(theta, cfg, x))
     y = np.asarray(y)
-    p_true = probs[np.arange(len(y)), y]
-    return -np.log(np.maximum(p_true, 1e-12))
+    return -log_clamped(probs[np.arange(len(y)), y])
 
 
 def argmax_labels(logits: np.ndarray) -> np.ndarray:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, ForgetSplit
-from .model import ModelConfig, init_params, loss_and_grad, param_count
+from .model import ModelConfig, init_params, loss_and_grad, param_count, strict_from_dict
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -42,28 +42,11 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "schedule": self.schedule,
-            "momentum": self.momentum,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        unknown = sorted(set(d) - set(TrainConfig.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown train config keys {unknown}")
-        return TrainConfig(
-            lr=float(d["lr"]),
-            epochs=int(d["epochs"]),
-            batch_size=int(d["batch_size"]),
-            schedule=str(d.get("schedule", "constant")),
-            momentum=float(d.get("momentum", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrainConfig":
+        return strict_from_dict(cls, d, "train config")
 
 
 @dataclass
@@ -195,6 +178,8 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
+    """Read a checkpoint directory back, rejecting a blob named outside it and
+    non-finite parameters."""
     with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
@@ -202,7 +187,10 @@ def load_checkpoint(directory: str) -> Checkpoint:
             f"unsupported checkpoint schema_version {manifest.get('schema_version')}"
         )
     model_cfg = ModelConfig.from_dict(manifest["model_config"])
-    with open(os.path.join(directory, manifest["blob"]), "rb") as fh:
+    name = manifest["blob"]
+    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ValueError(f"{directory}: blob {name!r} is not a file name in the checkpoint")
+    with open(os.path.join(directory, name), "rb") as fh:
         blob = fh.read()
     n = int(manifest["param_count"])
     if len(blob) != 8 * n:
@@ -212,4 +200,6 @@ def load_checkpoint(directory: str) -> Checkpoint:
     if n != param_count(model_cfg):
         raise ValueError("param_count does not match the model config")
     params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+    if not np.isfinite(params).all():
+        raise ValueError(f"{directory}: {name} holds non-finite parameters")
     return Checkpoint(params, model_cfg, manifest.get("provenance", {}))

@@ -15,12 +15,12 @@ and joint ascent/descent (joint).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import Dataset, ForgetSplit
-from .model import ModelConfig, loss_and_grad, per_sample_losses
+from .model import ModelConfig, loss_and_grad, per_sample_losses, strict_from_dict
 from .trainer import Checkpoint, TrainConfig, sgd_train
 
 RATIO_GUARD = 1e-12  # saliency denominator floor
@@ -79,28 +79,11 @@ class UnlearnConfig:
             raise ValueError(f"salun_top_k must be in (0,100], got {self.salun_top_k}")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "beta_f": self.beta_f,
-            "beta_r": self.beta_r,
-            "t_in": self.t_in,
-            "t_out": self.t_out,
-            "lambda_temp": self.lambda_temp,
-            "gamma": self.gamma,
-            "batch_f": self.batch_f,
-            "batch_r": self.batch_r,
-            "seed": self.seed,
-            "fisher_mode": self.fisher_mode,
-            "salun_top_k": self.salun_top_k,
-        }
+        return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "UnlearnConfig":
-        unknown = sorted(set(d) - set(UnlearnConfig.__dataclass_fields__))
-        if unknown:
-            raise ValueError(f"unknown unlearn config keys {unknown}")
-        return UnlearnConfig(**d)
+    @classmethod
+    def from_dict(cls, d: dict) -> "UnlearnConfig":
+        return strict_from_dict(cls, d, "unlearn config")
 
 
 @dataclass

@@ -78,13 +78,6 @@ class DirectionCheckResult:
     rel_norm_err: float
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "cosine": self.cosine,
-            "rel_norm_err": self.rel_norm_err,
-            "residual": self.residual,
-        }
-
 
 def _random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
     # Well-conditioned by construction: eigenvalues in [0.5, 3.0].

@@ -157,6 +157,37 @@ def test_missing_config_field_is_an_error_not_a_traceback(tmp_path, capsys):
     assert capsys.readouterr().err == "error: missing key 'batch_size'\n"
 
 
+def test_csv_label_outside_int64_is_an_error_not_a_traceback(tmp_path, capsys):
+    csv = tmp_path / "big.csv"
+    csv.write_text("label,f0,f1,f2,f3\n0,1,2,3,4\n99999999999999999999,1,2,3,4\n")
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, tmp_path / "big")
+    config["dataset"] = {"kind": "csv", "path": str(csv)}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {csv}: line 3: label 99999999999999999999 is outside int64\n")
+
+
+def test_changed_dataset_spec_does_not_reuse_the_csv(tmp_path, capsys):
+    out = tmp_path / "stale"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    csv = (out / "dataset.csv").read_bytes()
+    # The same spec reuses the file as it is.
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    assert (out / "dataset.csv").read_bytes() == csv
+    config["dataset"]["n_per_class"] *= 2
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert main(["retrain", "--config", str(cfg_path), "--split", str(out / "split.json")]) == 1
+    err = capsys.readouterr().err
+    assert "dataset.csv was generated from dataset spec" in err
+    assert "'n_per_class': 40" in err and "'n_per_class': 80" in err
+    assert (out / "dataset.csv").read_bytes() == csv
+
+
 def test_verify_command(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--suite", "klmix", "--out", str(out)]) == 0

@@ -118,6 +118,13 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.labels, d.labels)
         assert loaded.class_count == d.class_count
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-9223372036854775809"])
+    def test_label_outside_int64_reports_line(self, tmp_path, label):
+        p = tmp_path / "big.csv"
+        p.write_text(f"label,f0\n0,1.5\n{label},2.5\n")
+        with pytest.raises(ValueError, match=f"line 3: label {label} is outside int64"):
+            load_csv_dataset(str(p))
+
     def test_bad_label_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("label,f0\nx,1.5\n")

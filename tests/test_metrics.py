@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from unlearnlab.data import Dataset, generate_blobs, make_random_subset_split
+from unlearnlab import metrics
+from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_subset_split
 from unlearnlab.metrics import (
     MetricsReport,
     accuracy,
@@ -13,7 +14,6 @@ from unlearnlab.metrics import (
     empirical_kl,
     entropy_attack,
     full_report,
-    mia_success_rate,
     prediction_entropy,
 )
 from unlearnlab.model import ModelConfig, flatten, init_params, param_count
@@ -120,15 +120,6 @@ class TestEntropyAttack:
         assert low_rate >= base_rate
 
 
-class TestMiaEndToEnd:
-    def test_on_trained_model(self):
-        dataset = generate_blobs(seed=51, n_per_class=60, class_count=3, dim=4, spread=0.7)
-        split = make_random_subset_split(dataset, fraction=0.2, test_fraction=0.2, seed=0)
-        cfg = ModelConfig(layer_sizes=(4, 8, 3), seed=3)
-        rate = mia_success_rate(init_params(cfg), cfg, split, dataset)
-        assert 0.0 <= rate <= 1.0
-
-
 class TestEmpiricalKl:
     def _blob_split(self):
         dataset = generate_blobs(seed=52, n_per_class=30, class_count=4, dim=4, spread=1.0)
@@ -223,6 +214,73 @@ class TestFullReport:
         report = full_report(ckpt, ckpt, dataset, split, rte_seconds=1.25)
         restored = MetricsReport.from_dict(json.loads(report.to_json()))
         assert restored.to_dict() == report.to_dict()
+
+    def test_mia_rate_on_untrained_model(self):
+        # End to end through the entropy attack: the rate is a fraction, and
+        # it is exactly what the attack scores on the per-subset entropies.
+        dataset = generate_blobs(seed=51, n_per_class=60, class_count=3, dim=4, spread=0.7)
+        split = make_random_subset_split(dataset, fraction=0.2, test_fraction=0.2, seed=0)
+        cfg = ModelConfig(layer_sizes=(4, 8, 3), seed=3)
+        ckpt = Checkpoint(init_params(cfg), cfg)
+        report = full_report(ckpt, ckpt, dataset, split)
+        assert 0.0 <= report.mia <= 1.0
+        h = {name: prediction_entropy(ckpt.params, cfg, dataset.features[idx])
+             for name, idx in (("remain", split.remain_idx), ("test", split.test_idx),
+                               ("forget", split.forget_idx))}
+        rate, fallback = entropy_attack(h["remain"], h["test"], h["forget"])
+        assert report.mia == rate
+        assert report.provenance["mia_fallback"] == {"model": fallback, "reference": fallback}
+
+    def test_fields_match_the_single_metric_functions(self):
+        dataset = generate_blobs(seed=54, n_per_class=50, class_count=3, dim=4, spread=0.9)
+        split = make_random_subset_split(dataset, fraction=0.3, test_fraction=0.2, seed=3)
+        cfg = ModelConfig(layer_sizes=(4, 6, 3), seed=5)
+        ref = Checkpoint(init_params(cfg), cfg, {"role": "retrain"})
+        theta = init_params(cfg) + np.random.default_rng(6).standard_normal(param_count(cfg))
+        u = Checkpoint(theta, cfg, {"method": "ft"})
+        report = full_report(u, ref, dataset, split)
+        for key, idx in (("fa", split.forget_idx), ("ra", split.remain_idx),
+                         ("ta", split.test_idx)):
+            assert getattr(report, key) == accuracy(theta, cfg, dataset, idx)
+            assert report.provenance["reference"][key] == accuracy(ref.params, cfg, dataset, idx)
+        # The KL reads the per-subset outputs; empirical_kl runs one pass over
+        # remain + forget, and BLAS results may differ by a few ulps.
+        assert report.kl_to_ref == pytest.approx(empirical_kl(u, ref, dataset, split), rel=1e-13)
+        assert report.kl_to_ref > 0.0
+
+    def test_one_forward_pass_per_checkpoint_and_subset(self, monkeypatch):
+        ckpt, dataset, split = self._inputs()
+        rows = []
+        forward = metrics.forward_logits
+
+        def counting(theta, cfg, x):
+            rows.append(len(x))
+            return forward(theta, cfg, x)
+
+        monkeypatch.setattr(metrics, "forward_logits", counting)
+        full_report(ckpt, ckpt, dataset, split)
+        sizes = [len(split.forget_idx), len(split.remain_idx), len(split.test_idx)]
+        assert rows == sizes + sizes
+
+    def test_empty_test_set_rejected(self):
+        ckpt, dataset, split = self._inputs()
+        no_test = ForgetSplit(split.forget_idx, np.concatenate([split.remain_idx, split.test_idx]),
+                              np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="test set must be nonempty"):
+            full_report(ckpt, ckpt, dataset, no_test)
+
+    def test_config_mismatch_rejected(self):
+        ckpt, dataset, split = self._inputs()
+        other = Checkpoint(ckpt.params, ModelConfig(layer_sizes=(4, 6, 3), seed=5))
+        with pytest.raises(ValueError, match="config"):
+            full_report(ckpt, other, dataset, split)
+
+    def test_unknown_key_rejected_on_load(self):
+        ckpt, dataset, split = self._inputs()
+        payload = json.loads(full_report(ckpt, ckpt, dataset, split).to_json())
+        payload["kl"] = 0.0
+        with pytest.raises(ValueError, match=r"unknown report keys \['kl'\]"):
+            MetricsReport.from_dict(payload)
 
     def test_markdown_row_has_seven_columns(self):
         ckpt, dataset, split = self._inputs()

@@ -1,9 +1,14 @@
 """MLP over the flat parameter layout."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unlearnlab.autodiff import backward, finite_diff_gradient
+from unlearnlab.autodiff import PROB_CLAMP, backward, finite_diff_gradient
+from unlearnlab.metrics import MetricsReport
 from unlearnlab.model import (
     ModelConfig,
     argmax_labels,
@@ -12,10 +17,13 @@ from unlearnlab.model import (
     init_params,
     loss_and_grad,
     param_count,
+    per_sample_losses,
     predict_labels,
     unflatten,
     weighted_loss,
 )
+from unlearnlab.trainer import TrainConfig
+from unlearnlab.unlearn import METHODS, UnlearnConfig
 
 
 def test_config_validation():
@@ -134,3 +142,97 @@ class TestPredict:
         theta = flatten([(np.eye(2), np.zeros(2))])
         x = np.array([[0.1, 0.9], [0.5, 0.5], [2.0, -1.0]])
         assert np.array_equal(predict_labels(theta, cfg, x), [1, 0, 0])
+
+
+def test_clamped_true_class_loss_is_exactly_the_floor():
+    # Logits [100, 0] put exp(-100) ~ 4e-44 on the true class, far below the
+    # clamp: both loss paths must read -log(PROB_CLAMP) bit for bit.
+    cfg = ModelConfig(layer_sizes=(2, 2))
+    theta = flatten([(100.0 * np.eye(2), np.zeros(2))])
+    x, y = np.eye(2), np.array([1, 0])
+    floor = -np.log(PROB_CLAMP)
+    assert per_sample_losses(theta, cfg, x, y).tolist() == [floor, floor]
+    assert weighted_loss(theta, cfg, x, y).value == floor
+    assert weighted_loss(theta, cfg, x[:1], y[:1], np.ones(1)).value == floor
+
+
+class TestStrictFromDict:
+    """One constructor reads every config and report table."""
+
+    def test_unknown_model_key_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown model config keys \['dropout'\]"):
+            ModelConfig.from_dict({"layer_sizes": [4, 3], "init_scale": 1.0, "seed": 0,
+                                   "dropout": 0.5})
+
+    def test_non_integral_int_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="'epochs' must be an integer, got 2.7"):
+            TrainConfig.from_dict({"lr": 0.1, "epochs": 2.7, "batch_size": 8})
+        with pytest.raises(ValueError, match="'layer_sizes' must be an integer, got 8.5"):
+            ModelConfig.from_dict({"layer_sizes": [4, 8.5, 3]})
+
+    def test_integral_float_becomes_int(self):
+        cfg = TrainConfig.from_dict({"lr": 0.1, "epochs": 2.0, "batch_size": 8})
+        assert cfg.epochs == 2 and type(cfg.epochs) is int
+
+    def test_float_fields_store_float(self):
+        cfg = UnlearnConfig.from_dict({"method": "ga", "beta_f": 1, "alpha": 0})
+        assert type(cfg.beta_f) is float and type(cfg.alpha) is float
+        assert json.dumps(cfg.to_dict()["beta_f"]) == "1.0"
+        assert type(TrainConfig.from_dict({"lr": 1, "epochs": 1, "batch_size": 1}).lr) is float
+
+    @pytest.mark.parametrize("table", [{"lr": "0.1"}, {"epochs": True}, {"momentum": None}])
+    def test_non_numbers_rejected(self, table):
+        with pytest.raises(ValueError, match="must be a number"):
+            TrainConfig.from_dict({"lr": 0.1, "epochs": 1, "batch_size": 8, **table})
+
+    def test_missing_required_key_is_a_key_error(self):
+        with pytest.raises(KeyError, match="lr"):
+            TrainConfig.from_dict({"epochs": 1, "batch_size": 8})
+        with pytest.raises(KeyError, match="layer_sizes"):
+            ModelConfig.from_dict({"seed": 0})
+        with pytest.raises(KeyError, match="method"):
+            UnlearnConfig.from_dict({})
+
+    def test_defaults_fill_optional_keys(self):
+        assert ModelConfig.from_dict({"layer_sizes": [4, 3]}) == ModelConfig((4, 3))
+        assert TrainConfig.from_dict({"lr": 0.1, "epochs": 1, "batch_size": 8}) == TrainConfig(
+            lr=0.1, epochs=1, batch_size=8)
+
+
+# Property test: every config and report class survives to_dict/from_dict,
+# directly and through JSON.
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+seeds = st.integers(0, 2**31 - 1)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | finite | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+CONFIGS = st.one_of(
+    st.builds(ModelConfig, layer_sizes=st.lists(st.integers(1, 64), min_size=2, max_size=5),
+              init_scale=st.floats(1e-3, 10.0), seed=seeds),
+    st.builds(TrainConfig, lr=st.floats(1e-6, 10.0), epochs=st.integers(0, 100),
+              batch_size=st.integers(1, 512), schedule=st.sampled_from(["constant", "cosine"]),
+              momentum=st.floats(0.0, 0.99), seed=seeds),
+    st.builds(UnlearnConfig, method=st.sampled_from(METHODS), alpha=st.floats(0.0, 1.0),
+              beta_f=st.floats(0.0, 5.0), beta_r=st.floats(0.0, 5.0), t_in=st.integers(0, 20),
+              t_out=st.integers(1, 200), lambda_temp=st.floats(0.0, 3.0),
+              gamma=st.floats(0.0, 10.0), batch_f=st.integers(1, 512),
+              batch_r=st.integers(1, 512), seed=seeds,
+              fisher_mode=st.sampled_from(["per_sample_mean", "batch_square"]),
+              salun_top_k=st.floats(0.5, 100.0)),
+    st.builds(MetricsReport, fa=finite, ra=finite, ta=finite, mia=finite, kl_to_ref=finite,
+              avg_d=finite, rte_seconds=finite,
+              gaps=st.dictionaries(st.sampled_from(["fa", "ra", "ta", "mia"]), finite),
+              provenance=st.dictionaries(st.text(max_size=6), json_values, max_size=4)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(CONFIGS)
+def test_from_dict_inverts_to_dict(cfg):
+    assert type(cfg).from_dict(cfg.to_dict()) == cfg
+    assert type(cfg).from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg

@@ -1,13 +1,18 @@
 """SGD training, the retrain reference, and checkpoint persistence."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unlearnlab.data import generate_blobs, make_random_subset_split
 from unlearnlab.metrics import accuracy
-from unlearnlab.model import ModelConfig, init_params
+from unlearnlab.model import ModelConfig, init_params, param_count
 from unlearnlab.trainer import (
     Checkpoint,
     TrainConfig,
@@ -165,3 +170,58 @@ class TestCheckpointIO:
         (d / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
             load_checkpoint(str(d))
+
+    def test_non_finite_parameters_rejected(self, tmp_path):
+        ckpt = self._ckpt()
+        d = tmp_path / "ck"
+        save_checkpoint(ckpt, str(d))
+        params = np.frombuffer((d / "params.bin").read_bytes(), dtype="<f8").copy()
+        params[3] = np.nan
+        (d / "params.bin").write_bytes(params.tobytes())
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            load_checkpoint(str(d))
+
+    @pytest.mark.parametrize("blob", ["../outside.bin", "sub/params.bin", "..", ""])
+    def test_blob_outside_the_directory_rejected(self, tmp_path, blob):
+        ckpt = self._ckpt()
+        d = tmp_path / "ck"
+        save_checkpoint(ckpt, str(d))
+        # A well-formed blob outside the checkpoint must not be read.
+        (tmp_path / "outside.bin").write_bytes((d / "params.bin").read_bytes())
+        manifest = json.loads((d / "manifest.json").read_text())
+        manifest["blob"] = blob
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="is not a file name in the checkpoint"):
+            load_checkpoint(str(d))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def checkpoints(draw):
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    cfg = ModelConfig(tuple(sizes), init_scale=draw(st.floats(1e-3, 10.0)),
+                      seed=draw(st.integers(0, 2**31 - 1)))
+    params = draw(arrays(np.float64, param_count(cfg),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    provenance = draw(st.dictionaries(st.text(max_size=6), json_values, max_size=5))
+    return Checkpoint(params, cfg, provenance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(checkpoints())
+def test_checkpoint_round_trip_is_bit_exact(ckpt):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = os.path.join(tmp, "ck")
+        save_checkpoint(ckpt, directory)
+        loaded = load_checkpoint(directory)
+    assert loaded.params.tobytes() == ckpt.params.tobytes()
+    assert loaded.model_config == ckpt.model_config
+    assert loaded.provenance == ckpt.provenance

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_subset_split
 from unlearnlab.metrics import accuracy
@@ -14,6 +17,7 @@ from unlearnlab.model import (
 )
 from unlearnlab.trainer import TrainConfig, sgd_train
 from unlearnlab.unlearn import (
+    FisherDiagonals,
     UnlearnConfig,
     adaptive_coefficients,
     fisher_diagonals,
@@ -317,3 +321,37 @@ class TestDispatch:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="beta_F"):
             UnlearnConfig.from_dict({"method": "sfr_on", "beta_F": 9.0})
+
+
+# Property tests for the two invariants the fast-slow update relies on.
+
+nonneg = st.floats(0.0, 1e6, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    losses=arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 50.0)),
+    big_t=st.integers(1, 500),
+    frac=st.floats(0.0, 1.0),
+    lambda_temp=st.floats(0.0, 3.0),
+)
+def test_adaptive_coefficients_sum_to_the_decayed_batch_size(losses, big_t, frac, lambda_temp):
+    t = int(frac * big_t)
+    coeffs = adaptive_coefficients(losses, t, big_t, lambda_temp)
+    assert (coeffs >= 0).all()
+    expected = (1.0 - t / big_t) * len(losses)
+    assert coeffs.sum() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    diagonals=st.integers(1, 40).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=nonneg), arrays(np.float64, n, elements=nonneg))),
+    gammas=st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e3)),
+)
+def test_saliency_mask_is_monotone_in_gamma(diagonals, gammas):
+    fd = FisherDiagonals(*diagonals)
+    low, high = sorted(gammas)
+    mask_low, mask_high = saliency_mask(fd, low), saliency_mask(fd, high)
+    assert set(np.unique(mask_low)) <= {0.0, 1.0}
+    assert (mask_high <= mask_low).all()
