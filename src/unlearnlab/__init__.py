@@ -1,10 +1,11 @@
 """Approximate machine unlearning for classifiers.
 
-Library layout: a minimal float64 autodiff core, an MLP over a flat
-parameter vector, dataset/split handling, SGD training with a retrain
-reference, the unlearning methods themselves, retrain-relative evaluation
-metrics, and a numerical verification suite for the descent identities the
-fast-slow update relies on.
+Library layout: the float64 loss and explicit backward chain of a relu MLP
+with their finite-difference oracles, the MLP over a flat parameter vector,
+dataset/split handling, SGD training with a retrain reference, the
+unlearning methods themselves, retrain-relative evaluation metrics, and a
+numerical verification suite for the descent identities the fast-slow
+update relies on.
 """
 
 __version__ = "0.1.0"

@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ComputationRecord,
-    Tensor,
-    affine,
-    backward,
-    log_clamped,
-    relu,
-    softmax,
-    softmax_cross_entropy,
-)
+from .autodiff import backward, check_labels, log_clamped, softmax, softmax_cross_entropy
 
 
 def strict_from_dict(cls, d: dict, what: str):
@@ -138,49 +129,24 @@ def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def forward_logits(theta: np.ndarray, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    """Affine/relu chain with a linear final layer; pure numpy, no recording."""
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each layer's input (the data ``x``, then the relu outputs) and the logits."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_size:
-        raise ValueError(
-            f"input has shape {x.shape}, expected (batch, {cfg.input_size})"
-        )
-    layers = unflatten(theta, cfg)
-    h = x
+    width = layers[0][0].shape[0]
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"input has shape {x.shape}, expected (batch, {width})")
+    inputs = [x]
     for w, b in layers[:-1]:
-        h = np.maximum(h @ w + b, 0.0)
+        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
     w, b = layers[-1]
-    return h @ w + b
+    return inputs, inputs[-1] @ w + b
 
 
-def weighted_loss(
-    theta: np.ndarray,
-    cfg: ModelConfig,
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> ComputationRecord:
-    """Record mean_i w_i * CE(theta; x_i, y_i) with params as graph leaves.
-
-    Weights are constants (no gradient flows through them).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != cfg.input_size:
-        raise ValueError(
-            f"input has shape {x.shape}, expected (batch, {cfg.input_size})"
-        )
-    param_tensors: list[Tensor] = []
-    for w, b in unflatten(theta, cfg):
-        param_tensors.append(Tensor(w.copy()))
-        param_tensors.append(Tensor(b.copy()))
-    h = Tensor(x)
-    n_layers = len(cfg.layer_sizes) - 1
-    for li in range(n_layers):
-        h = affine(h, param_tensors[2 * li], param_tensors[2 * li + 1])
-        if li < n_layers - 1:
-            h = relu(h)
-    root = softmax_cross_entropy(h, np.asarray(y), weights)
-    return ComputationRecord(root, param_tensors)
+def forward_logits(theta: np.ndarray, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
+    """Affine/relu chain with a linear final layer."""
+    return _forward(unflatten(theta, cfg), x)[1]
 
 
 def loss_and_grad(
@@ -190,17 +156,23 @@ def loss_and_grad(
     y: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    record = weighted_loss(theta, cfg, x, y, weights)
-    return record.value, backward(record)
+    """mean_i w_i * CE(theta; x_i, y_i) and its gradient in the flat layout.
+
+    Weights are constants (no gradient flows through them).
+    """
+    layers = unflatten(theta, cfg)
+    inputs, logits = _forward(layers, x)
+    loss, dlogits = softmax_cross_entropy(logits, y, weights)
+    return loss, flatten(backward(layers, inputs, dlogits))
 
 
 def per_sample_losses(
     theta: np.ndarray, cfg: ModelConfig, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """Per-sample cross-entropy, tape-free (used for adaptive weighting)."""
-    probs = softmax(forward_logits(theta, cfg, x))
-    y = np.asarray(y)
-    return -log_clamped(probs[np.arange(len(y)), y])
+    """Per-sample cross-entropy (used for adaptive weighting)."""
+    logits = forward_logits(theta, cfg, x)
+    y = check_labels(y, *logits.shape)
+    return -log_clamped(softmax(logits)[np.arange(len(y)), y])
 
 
 def argmax_labels(logits: np.ndarray) -> np.ndarray:

@@ -143,11 +143,14 @@ def retrain_oracle(
     makes the contract explicit and instrumentable via ``on_batch``.
     """
     split.validate()
-    forbidden = set(int(i) for i in split.forget_idx)
+    is_forget = np.zeros(len(dataset), dtype=bool)
+    is_forget[split.forget_idx] = True
 
     def guard(batch):
-        hit = forbidden.intersection(int(i) for i in batch)
-        assert not hit, f"retrain touched forget indices {sorted(hit)[:5]}"
+        hit = is_forget[batch]
+        assert not hit.any(), (
+            f"retrain touched forget indices {np.sort(batch[hit])[:5].tolist()}"
+        )
         if on_batch is not None:
             on_batch(batch)
 

@@ -127,25 +127,18 @@ def fisher_diagonals(
     dataset: Dataset,
     split: ForgetSplit,
     mode: str = "per_sample_mean",
-    sample_cap: int | None = None,
-    seed: int = 0,
 ) -> FisherDiagonals:
     """Squared-gradient diagonals on the forget and remain sets at ``theta0``.
 
     ``per_sample_mean`` averages elementwise squared per-sample gradients (the
     Fisher-diagonal estimator); ``batch_square`` squares the full-set mean
-    gradient instead, which cancels opposing per-sample gradients. The remain
-    set can be subsampled via ``sample_cap`` (seeded, without replacement).
+    gradient instead, which cancels opposing per-sample gradients.
     """
     if mode not in ("per_sample_mean", "batch_square"):
         raise ValueError(f"unknown fisher mode {mode!r}")
-    remain_idx = split.remain_idx
-    if sample_cap is not None and sample_cap < len(remain_idx):
-        rng = np.random.default_rng(seed)
-        remain_idx = np.sort(rng.choice(remain_idx, size=sample_cap, replace=False))
     return FisherDiagonals(
         forget=_squared_grad_diag(theta0, cfg, dataset, split.forget_idx, mode),
-        remain=_squared_grad_diag(theta0, cfg, dataset, remain_idx, mode),
+        remain=_squared_grad_diag(theta0, cfg, dataset, split.remain_idx, mode),
     )
 
 
@@ -194,7 +187,6 @@ def sfr_on(
     dataset: Dataset,
     split: ForgetSplit,
     ucfg: UnlearnConfig,
-    fisher_sample_cap: int | None = None,
 ) -> Checkpoint:
     """Saliency-masked fast-slow unlearning.
 
@@ -205,10 +197,7 @@ def sfr_on(
     repaired). The Fisher diagonals and mask are computed once at ``theta0``.
     """
     t0 = time.perf_counter()
-    fd = fisher_diagonals(
-        theta0, model_cfg, dataset, split, ucfg.fisher_mode,
-        sample_cap=fisher_sample_cap, seed=ucfg.seed,
-    )
+    fd = fisher_diagonals(theta0, model_cfg, dataset, split, ucfg.fisher_mode)
     mask = saliency_mask(fd, ucfg.gamma)
     rng = np.random.default_rng(ucfg.seed)
     theta = np.asarray(theta0, dtype=np.float64).copy()

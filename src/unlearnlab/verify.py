@@ -10,8 +10,9 @@ Three families of checks:
 * A Hessian-vector-product check that one fast ascent step followed by one
   repair step realizes the curvature-adjusted direction on a real tiny
   network, up to a second-order remainder trackable in the step sizes.
-* Gradient fidelity of reverse mode against central finite differences, and
-  the KL mixture split over disjoint forget/remain outcome spaces.
+* Gradient fidelity of the explicit backward chain against central finite
+  differences, and the KL mixture split over disjoint forget/remain outcome
+  spaces.
 """
 
 from __future__ import annotations
@@ -300,8 +301,9 @@ def fast_slow_joint_remainder(
 
 
 def check_gradients(seeds: int = 20, h: float = 1e-5) -> float:
-    """Max relative error of reverse mode vs. central differences over random
-    small relu nets and batches (one net per seed, <= 1000 parameters)."""
+    """Max relative error of the explicit backward chain vs. central
+    differences over random small relu nets and batches (one net per seed,
+    <= 1000 parameters)."""
     worst = 0.0
     for seed in range(seeds):
         rng = np.random.default_rng(1000 + seed)
@@ -318,8 +320,9 @@ def check_gradients(seeds: int = 20, h: float = 1e-5) -> float:
         weights = rng.uniform(0.2, 2.0, size=8)
         _, g_ad = loss_and_grad(theta, cfg, x, y, weights)
 
-        # The same weighted mean as loss_and_grad's value, computed without
-        # the tape, so the oracle does not run the code it checks.
+        # The same weighted mean as loss_and_grad's value, computed from
+        # per-sample losses, so the oracle runs neither
+        # softmax_cross_entropy nor the backward chain it checks.
         def objective(t, cfg=cfg, x=x, y=y, weights=weights):
             return np.mean(weights * per_sample_losses(t, cfg, x, y))
 

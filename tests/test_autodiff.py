@@ -1,115 +1,137 @@
-"""Core engine: recorded ops, reverse mode, and the finite-difference oracles."""
+"""The loss, the explicit backward chain, and the finite-difference oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unlearnlab.autodiff import (
-    ComputationRecord,
-    Tensor,
-    affine,
     backward,
     finite_diff_gradient,
     hessian_vector_product,
-    relu,
     softmax_cross_entropy,
-    square,
-    sum_all,
 )
-from unlearnlab.model import ModelConfig, init_params, loss_and_grad, param_count
+from unlearnlab.model import (
+    ModelConfig,
+    flatten,
+    forward_logits,
+    init_params,
+    loss_and_grad,
+    param_count,
+    unflatten,
+)
 from unlearnlab.verify import check_gradients
 
 
 class TestAffine:
+    """One affine layer, forward (in the logits) and backward (dW, db)."""
+
     def test_identity(self):
-        x = Tensor([[1.0, 2.0]])
-        w = Tensor(np.eye(2))
-        b = Tensor([0.0, 0.0])
-        assert np.array_equal(affine(x, w, b).data, [[1.0, 2.0]])
+        layers = [(np.eye(2), np.zeros(2))]
+        x = np.array([[1.0, 2.0]])
+        assert np.array_equal(forward_logits(flatten(layers), ModelConfig((2, 2)), x), x)
+        ((dw, db),) = backward(layers, [x], np.array([[1.0, 0.0]]))
+        assert np.array_equal(dw, [[1.0, 0.0], [2.0, 0.0]])
+        assert np.array_equal(db, [1.0, 0.0])
 
     def test_permutation(self):
-        x = Tensor([[1.0, 0.0]])
-        w = Tensor([[0.0, 1.0], [1.0, 0.0]])
-        b = Tensor([0.0, 0.0])
-        assert np.array_equal(affine(x, w, b).data, [[0.0, 1.0]])
+        # Through a permuting second layer, the hidden gradient comes back
+        # permuted: unit 0 gets the gradient of logit 1 and vice versa.
+        perm = np.array([[0.0, 1.0], [1.0, 0.0]])
+        layers = [(np.eye(2), np.zeros(2)), (perm, np.zeros(2))]
+        x = np.array([[1.0, 3.0]])
+        theta = flatten(layers)
+        assert np.array_equal(forward_logits(theta, ModelConfig((2, 2, 2)), x), [[3.0, 1.0]])
+        (_, db_hidden), _ = backward(layers, [x, x], np.array([[5.0, 7.0]]))
+        assert np.array_equal(db_hidden, [7.0, 5.0])
 
     def test_hand_sum(self):
-        x = Tensor([[1.0, 1.0]])
-        w = Tensor([[1.0, 1.0], [1.0, 1.0]])
-        b = Tensor([1.0, 1.0])
-        assert np.array_equal(affine(x, w, b).data, [[3.0, 3.0]])
+        layers = [(np.ones((2, 2)), np.ones(2))]
+        x = np.array([[1.0, 1.0], [2.0, 0.0]])
+        assert np.array_equal(forward_logits(flatten(layers), ModelConfig((2, 2)), x),
+                              [[3.0, 3.0], [3.0, 3.0]])
+        ((dw, db),) = backward(layers, [x], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert np.array_equal(dw, [[1.0 + 6.0, 2.0 + 8.0], [1.0, 2.0]])
+        assert np.array_equal(db, [4.0, 6.0])
 
     def test_shape_mismatch_reports_dimensions(self):
-        with pytest.raises(ValueError, match="affine"):
-            affine(Tensor([[1.0, 2.0]]), Tensor(np.eye(3)), Tensor(np.zeros(3)))
+        cfg = ModelConfig((3, 2))
+        with pytest.raises(ValueError, match=r"shape \(1, 2\), expected \(batch, 3\)"):
+            loss_and_grad(np.zeros(param_count(cfg)), cfg, np.ones((1, 2)), np.array([0]))
 
 
 class TestRelu:
+    """The hidden relu: max(0, x) forward, subgradient 0 at and below 0."""
+
+    cfg = ModelConfig((3, 3, 3))
+    identity = flatten([(np.eye(3), np.zeros(3)), (np.eye(3), np.zeros(3))])
+
     def test_elementwise(self):
-        out = relu(Tensor([-1.0, 0.0, 2.0]))
-        assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+        out = forward_logits(self.identity, self.cfg, np.array([[-1.0, 0.0, 2.0]]))
+        assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_all_negative(self):
-        assert np.array_equal(relu(Tensor([-3.0, -0.5])).data, [0.0, 0.0])
+        out = forward_logits(self.identity, self.cfg, np.array([[-3.0, -0.5, -1e-300]]))
+        assert np.array_equal(out, np.zeros((1, 3)))
 
     def test_dead_unit_gradient(self):
-        x = Tensor([[-1.0]])
-        y = sum_all(relu(x))
-        grad = backward(ComputationRecord(y, [x]))
-        assert grad[0] == 0.0
+        # Hidden unit 0 sees -1: its incoming weights and bias get no gradient,
+        # while the live units 1 and 2 do.
+        _, g = loss_and_grad(self.identity, self.cfg, np.array([[-1.0, 0.5, 2.0]]), np.array([0]))
+        (dw, db), _ = unflatten(g, self.cfg)
+        assert np.array_equal(dw[:, 0], np.zeros(3)) and db[0] == 0.0
+        assert (db[1:] != 0.0).all()
 
     def test_subgradient_at_zero_is_zero(self):
-        x = Tensor([[0.0]])
-        y = sum_all(relu(x))
-        grad = backward(ComputationRecord(y, [x]))
-        assert grad[0] == 0.0
+        # Zero input and zero biases put every hidden pre-activation at exactly
+        # 0, where the relu passes no gradient: the hidden biases get none.
+        cfg = ModelConfig((4, 6, 3), seed=1)
+        theta = init_params(cfg)
+        _, g = loss_and_grad(theta, cfg, np.zeros((2, 4)), np.array([0, 2]))
+        (_, db_hidden), (_, db_out) = unflatten(g, cfg)
+        assert np.array_equal(db_hidden, np.zeros(6))
+        assert (db_out != 0.0).any()
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss = softmax_cross_entropy(Tensor(np.zeros((1, 4))), np.array([2]))
-        assert loss.data == pytest.approx(np.log(4.0), abs=1e-12)
+        loss, _ = softmax_cross_entropy(np.zeros((1, 4)), np.array([2]))
+        assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_confident_correct_is_near_zero(self):
         logits = np.zeros((1, 3))
         logits[0, 1] = 50.0
-        loss = softmax_cross_entropy(Tensor(logits), np.array([1]))
-        assert float(loss.data) < 1e-12
+        loss, _ = softmax_cross_entropy(logits, np.array([1]))
+        assert loss < 1e-12
 
     def test_weighted_mean(self):
-        loss = softmax_cross_entropy(
-            Tensor(np.zeros((2, 2))), np.array([0, 1]), np.array([2.0, 0.0])
-        )
-        assert loss.data == pytest.approx(np.log(2.0), abs=1e-12)
+        loss, dlogits = softmax_cross_entropy(np.zeros((2, 2)), np.array([0, 1]), np.array([2.0, 0.0]))
+        assert loss == pytest.approx(np.log(2.0), abs=1e-12)
+        # Row weight 2 over a batch of 2 scales row 0 by 1; row 1 weighs 0.
+        assert np.array_equal(dlogits, [[-0.5, 0.5], [0.0, 0.0]])
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            softmax_cross_entropy(Tensor(np.zeros((1, 3))), np.array([3]))
+        for label in (3, -1):
+            with pytest.raises(ValueError, match=f"label {label} out of range"):
+                softmax_cross_entropy(np.zeros((1, 3)), np.array([label]))
 
     @pytest.mark.parametrize("classes", range(2, 11))
     def test_uniform_equals_log_c(self, classes):
-        loss = softmax_cross_entropy(Tensor(np.zeros((3, classes))), np.zeros(3, dtype=int))
-        assert loss.data == pytest.approx(np.log(classes), abs=1e-12)
+        loss, _ = softmax_cross_entropy(np.zeros((3, classes)), np.zeros(3, dtype=int))
+        assert loss == pytest.approx(np.log(classes), abs=1e-12)
 
     def test_nonnegative_on_random_logits(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             logits = rng.standard_normal((4, 5)) * rng.uniform(0.1, 20)
             labels = rng.integers(0, 5, size=4)
-            assert float(softmax_cross_entropy(Tensor(logits), labels).data) >= 0.0
+            assert softmax_cross_entropy(logits, labels)[0] >= 0.0
 
 
 class TestBackward:
-    def test_square_scalar(self):
-        theta = Tensor([3.0])
-        root = sum_all(square(theta))
-        grad = backward(ComputationRecord(root, [theta]))
-        assert grad == pytest.approx([6.0])
-
     def test_softmax_ce_analytic_gradient(self):
-        logits = Tensor(np.zeros((1, 4)))
-        loss = softmax_cross_entropy(logits, np.array([0]))
-        grad = backward(ComputationRecord(loss, [logits]))
-        assert grad == pytest.approx([-0.75, 0.25, 0.25, 0.25], abs=1e-12)
+        _, dlogits = softmax_cross_entropy(np.zeros((1, 4)), np.array([0]))
+        assert dlogits.ravel() == pytest.approx([-0.75, 0.25, 0.25, 0.25], abs=1e-12)
 
     def test_composite_mlp_matches_finite_differences(self):
         cfg = ModelConfig(layer_sizes=(3, 6, 3), seed=4)
@@ -122,11 +144,6 @@ class TestBackward:
         rel = np.abs(g_ad - g_fd).max() / max(np.abs(g_fd).max(), 1e-12)
         assert rel <= 1e-6
 
-    def test_non_scalar_root_rejected(self):
-        x = Tensor([[1.0, 2.0]])
-        with pytest.raises(ValueError, match="scalar root"):
-            backward(ComputationRecord(relu(x), [x]))
-
     def test_deterministic_bit_identical(self):
         cfg = ModelConfig(layer_sizes=(4, 5, 3), seed=9)
         rng = np.random.default_rng(9)
@@ -137,6 +154,27 @@ class TestBackward:
         v2, g2 = loss_and_grad(theta, cfg, x, y)
         assert v1 == v2
         assert np.array_equal(g1, g2)
+
+
+# Property: the weighted batch gradient is the weighted mean of the batch-1
+# gradients, the identity sfr_on's adaptive-coefficient ascent step relies on.
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4).map(lambda s: (*s[:-1], s[-1] + 1)),
+    batch=st.integers(1, 9),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_weighted_gradient_is_the_weighted_mean_of_per_sample_gradients(sizes, batch, seed):
+    cfg = ModelConfig(layer_sizes=sizes, seed=seed)
+    rng = np.random.default_rng(seed)
+    theta = init_params(cfg) + 0.5 * rng.standard_normal(param_count(cfg))
+    x = rng.standard_normal((batch, sizes[0]))
+    y = rng.integers(0, sizes[-1], size=batch)
+    w = rng.uniform(0.0, 3.0, size=batch)
+    _, g = loss_and_grad(theta, cfg, x, y, w)
+    per_sample = [loss_and_grad(theta, cfg, x[i : i + 1], y[i : i + 1])[1] for i in range(batch)]
+    expected = np.mean([wi * gi for wi, gi in zip(w, per_sample)], axis=0)
+    assert np.abs(g - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1e-300)
 
 
 class TestFiniteDiff:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlearnlab.autodiff import PROB_CLAMP, backward, finite_diff_gradient
+from unlearnlab.autodiff import PROB_CLAMP, finite_diff_gradient
 from unlearnlab.metrics import MetricsReport
 from unlearnlab.model import (
     ModelConfig,
@@ -20,7 +20,6 @@ from unlearnlab.model import (
     per_sample_losses,
     predict_labels,
     unflatten,
-    weighted_loss,
 )
 from unlearnlab.trainer import TrainConfig
 from unlearnlab.unlearn import METHODS, UnlearnConfig
@@ -83,6 +82,8 @@ class TestForward:
 
 
 class TestWeightedLoss:
+    """``loss_and_grad`` with per-sample weights."""
+
     cfg = ModelConfig(layer_sizes=(2, 4, 3), seed=6)
 
     def _batch(self):
@@ -92,24 +93,25 @@ class TestWeightedLoss:
     def test_unit_weights_match_unweighted(self):
         x, y = self._batch()
         theta = init_params(self.cfg)
-        plain = weighted_loss(theta, self.cfg, x, y).value
-        weighted = weighted_loss(theta, self.cfg, x, y, np.ones(5)).value
+        plain, g_plain = loss_and_grad(theta, self.cfg, x, y)
+        weighted, g_weighted = loss_and_grad(theta, self.cfg, x, y, np.ones(5))
         assert plain == weighted
+        assert np.array_equal(g_plain, g_weighted)
 
     def test_zero_weights_zero_loss_and_grad(self):
         x, y = self._batch()
         theta = init_params(self.cfg)
-        record = weighted_loss(theta, self.cfg, x, y, np.zeros(5))
-        assert record.value == 0.0
-        assert np.array_equal(backward(record), np.zeros(param_count(self.cfg)))
+        value, grad = loss_and_grad(theta, self.cfg, x, y, np.zeros(5))
+        assert value == 0.0
+        assert np.array_equal(grad, np.zeros(param_count(self.cfg)))
 
     def test_weights_match_analytic_mean(self):
         theta = init_params(self.cfg)
         x, y = self._batch()
-        losses = [weighted_loss(theta, self.cfg, x[i : i + 1], y[i : i + 1]).value for i in range(5)]
+        losses = [loss_and_grad(theta, self.cfg, x[i : i + 1], y[i : i + 1])[0] for i in range(5)]
         w = np.array([2.0, 0.0, 1.0, 0.5, 3.0])
         expected = float(np.mean(w * np.asarray(losses)))
-        assert weighted_loss(theta, self.cfg, x, y, w).value == pytest.approx(expected, rel=1e-12)
+        assert loss_and_grad(theta, self.cfg, x, y, w)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_gradient_matches_finite_differences_on_midsize_net():
@@ -146,14 +148,26 @@ class TestPredict:
 
 def test_clamped_true_class_loss_is_exactly_the_floor():
     # Logits [100, 0] put exp(-100) ~ 4e-44 on the true class, far below the
-    # clamp: both loss paths must read -log(PROB_CLAMP) bit for bit.
+    # clamp: both loss paths must read -log(PROB_CLAMP) bit for bit, and the
+    # loss is flat there, so the gradient is exactly zero.
     cfg = ModelConfig(layer_sizes=(2, 2))
     theta = flatten([(100.0 * np.eye(2), np.zeros(2))])
     x, y = np.eye(2), np.array([1, 0])
     floor = -np.log(PROB_CLAMP)
     assert per_sample_losses(theta, cfg, x, y).tolist() == [floor, floor]
-    assert weighted_loss(theta, cfg, x, y).value == floor
-    assert weighted_loss(theta, cfg, x[:1], y[:1], np.ones(1)).value == floor
+    for value, grad in (loss_and_grad(theta, cfg, x, y),
+                        loss_and_grad(theta, cfg, x[:1], y[:1], np.ones(1))):
+        assert value == floor
+        assert np.array_equal(grad, np.zeros(param_count(cfg)))
+
+
+@pytest.mark.parametrize("label", [-1, 4])
+def test_per_sample_losses_rejects_out_of_range_labels(label):
+    # Label -1 used to index the last class silently.
+    cfg = ModelConfig(layer_sizes=(3, 5, 4), seed=2)
+    x = np.random.default_rng(2).standard_normal((2, 3))
+    with pytest.raises(ValueError, match=rf"label {label} out of range \[0, 4\)"):
+        per_sample_losses(init_params(cfg), cfg, x, np.array([0, label]))
 
 
 class TestStrictFromDict:

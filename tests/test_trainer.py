@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from unlearnlab.data import generate_blobs, make_random_subset_split
+from unlearnlab.data import ForgetSplit, generate_blobs, make_random_subset_split
 from unlearnlab.metrics import accuracy
 from unlearnlab.model import ModelConfig, init_params, param_count
 from unlearnlab.trainer import (
@@ -109,6 +109,16 @@ class TestRetrainOracle:
         retrain_oracle(cfg, tcfg, dataset, split, on_batch=lambda b: touched.extend(int(i) for i in b))
         assert len(set(touched) & forget) == 0
         assert set(touched) == set(int(i) for i in split.remain_idx)
+
+    def test_guard_fires_on_a_split_that_slipped_past_validation(self, toy, monkeypatch):
+        dataset, split = toy
+        monkeypatch.setattr(ForgetSplit, "validate", lambda self: None)
+        overlapping = ForgetSplit(split.forget_idx, np.sort(np.concatenate(
+            [split.remain_idx, split.forget_idx[:3]])), split.test_idx)
+        cfg = ModelConfig(layer_sizes=(4, 3), seed=6)
+        tcfg = TrainConfig(lr=0.2, epochs=1, batch_size=16, seed=1)
+        with pytest.raises(AssertionError, match=r"retrain touched forget indices \[\d"):
+            retrain_oracle(cfg, tcfg, dataset, overlapping)
 
     def test_two_seeds_differ(self, toy):
         dataset, split = toy

@@ -198,9 +198,9 @@ class TestCheckGradients:
     def test_twenty_seeds(self):
         assert check_gradients(seeds=20) <= 1e-6
 
-    def test_tape_free_objective_equals_the_tape_value(self):
-        # check_gradients differentiates this tape-free form numerically; it
-        # must be the very number the tape reports.
+    def test_oracle_objective_equals_the_loss_and_grad_value(self):
+        # check_gradients differentiates this per-sample form numerically; it
+        # must be the very number loss_and_grad reports.
         rng = np.random.default_rng(9)
         for seed in range(5):
             cfg = ModelConfig(layer_sizes=(4, 7, 3), init_scale=1.0, seed=seed)
