@@ -87,9 +87,27 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
         dim=int(spec["dim"]),
         spread=float(spec["spread"]),
     )
-    save_csv_dataset(dataset, materialized)
+    dataset.sha256 = save_csv_dataset(dataset, materialized)
     _write_json(spec_path, spec)
     return dataset, materialized
+
+
+def _record_dataset(ckpt, ckpt_dir: str, dataset: Dataset, dataset_path: str) -> None:
+    """Record the dataset's path relative to the checkpoint directory, where
+    ``eval`` resolves it, and the SHA-256 of its CSV bytes."""
+    ckpt.provenance["dataset_path"] = os.path.relpath(dataset_path, ckpt_dir)
+    ckpt.provenance["dataset_sha256"] = dataset.sha256
+
+
+def _check_dataset(ckpt, ckpt_dir: str, dataset: Dataset, dataset_path: str) -> None:
+    """Refuse a checkpoint trained on other CSV bytes than ``dataset_path``
+    holds. Checkpoints that record no digest (library-made) pass."""
+    recorded = ckpt.provenance.get("dataset_sha256")
+    if recorded is not None and recorded != dataset.sha256:
+        raise ValueError(
+            f"{ckpt_dir} records dataset sha256 {recorded}, but {dataset_path} "
+            f"has sha256 {dataset.sha256}"
+        )
 
 
 def build_split(config: dict, dataset: Dataset):
@@ -131,7 +149,7 @@ def cmd_pretrain(args) -> int:
         theta0, train_cfg, model_cfg, dataset, split.train_idx, role="pretrain"
     )
     ckpt_dir = os.path.join(out, "pretrain")
-    ckpt.provenance["dataset_path"] = dataset_path
+    _record_dataset(ckpt, ckpt_dir, dataset, dataset_path)
     ckpt.provenance["split_path"] = split_path
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "pretrain"})
@@ -150,7 +168,7 @@ def cmd_retrain(args) -> int:
     train_cfg = TrainConfig.from_dict(config["train"])
     ckpt = retrain_oracle(model_cfg, train_cfg, dataset, split)
     ckpt_dir = os.path.join(out, "retrain")
-    ckpt.provenance["dataset_path"] = dataset_path
+    _record_dataset(ckpt, ckpt_dir, dataset, dataset_path)
     ckpt.provenance["split_path"] = args.split
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "retrain"})
@@ -164,6 +182,7 @@ def cmd_unlearn(args) -> int:
     dataset, dataset_path = resolve_dataset(config, out)
     split = load_split(args.split, len(dataset))
     pretrained = load_checkpoint(args.pretrained)
+    _check_dataset(pretrained, args.pretrained, dataset, dataset_path)
     method_cfg = dict(config["unlearn"][args.method])
     method_cfg["method"] = args.method
     ucfg = UnlearnConfig.from_dict(method_cfg)
@@ -171,7 +190,7 @@ def cmd_unlearn(args) -> int:
         pretrained.params, pretrained.model_config, dataset, split, ucfg
     )
     ckpt_dir = os.path.join(out, f"unlearn_{args.method}")
-    ckpt.provenance["dataset_path"] = dataset_path
+    _record_dataset(ckpt, ckpt_dir, dataset, dataset_path)
     ckpt.provenance["split_path"] = args.split
     ckpt.provenance["pretrained_path"] = args.pretrained
     save_checkpoint(ckpt, ckpt_dir)
@@ -184,15 +203,18 @@ def cmd_eval(args) -> int:
     ckpt_u = load_checkpoint(args.model)
     ckpt_ref = load_checkpoint(args.reference)
     if args.dataset:
-        dataset = load_csv_dataset(args.dataset)
+        dataset_path = args.dataset
     else:
-        dataset_path = ckpt_u.provenance.get("dataset_path")
-        if not dataset_path:
+        recorded = ckpt_u.provenance.get("dataset_path")
+        if not recorded:
             sys.stderr.write(
                 "eval: no --dataset given and the checkpoint records none\n"
             )
             return 1
-        dataset = load_csv_dataset(dataset_path)
+        dataset_path = os.path.join(args.model, recorded)
+    dataset = load_csv_dataset(dataset_path)
+    _check_dataset(ckpt_u, args.model, dataset, dataset_path)
+    _check_dataset(ckpt_ref, args.reference, dataset, dataset_path)
     split = load_split(args.split, len(dataset))
     rte = float(ckpt_u.provenance.get("wall_seconds", 0.0))
     report = full_report(ckpt_u, ckpt_ref, dataset, split, rte_seconds=rte)

@@ -2,17 +2,28 @@
 
 The file formats are intentionally plain: CSV for features/labels (header
 ``label,f0,f1,...``, values written with 17 significant digits so float64
-round-trips exactly) and JSON for index splits.
+round-trips exactly) and JSON for index splits. Each CSV gets a binary
+sidecar ``<csv>.npz`` keyed by the SHA-256 of the CSV bytes, so a file is
+parsed once however many times it is read; the CSV stays the file of record.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
+
+SIDECAR_SUFFIX = ".npz"
+_HASH_CHUNK = 1 << 20
+_WRITE_ROWS = 1024
 
 
 @dataclass
@@ -20,6 +31,8 @@ class Dataset:
     features: np.ndarray  # (N, dim) float64
     labels: np.ndarray  # (N,) int64
     class_count: int
+    # SHA-256 of the CSV bytes this dataset was read from; None in memory.
+    sha256: str | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -74,14 +87,6 @@ class ForgetSplit:
     @property
     def train_idx(self) -> np.ndarray:
         return np.concatenate([self.forget_idx, self.remain_idx])
-
-    @property
-    def p_forget(self) -> float:
-        return len(self.forget_idx) / (len(self.forget_idx) + len(self.remain_idx))
-
-    @property
-    def p_remain(self) -> float:
-        return 1.0 - self.p_forget
 
 
 def generate_blobs(
@@ -160,49 +165,135 @@ def make_classwise_split(
     )
 
 
-def save_csv_dataset(dataset: Dataset, path: str) -> None:
-    dim = dataset.features.shape[1]
-    header = "label," + ",".join(f"f{i}" for i in range(dim))
+def save_csv_dataset(dataset: Dataset, path: str) -> str:
+    """Write ``dataset`` as CSV, and its sidecar from the same arrays, so a
+    written file is never parsed. Returns the SHA-256 of the CSV bytes."""
+    n, dim = dataset.features.shape
     line = "%d" + ",%.17g" * dim + "\n"
-    rows = zip(dataset.labels.tolist(), dataset.features.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line % (label, *values) for label, values in rows)
+    header = ("label," + ",".join(f"f{i}" for i in range(dim)) + "\n").encode("utf-8")
+    digest = hashlib.sha256(header)
+    with _replaced_atomically(path) as fh:
+        fh.write(header)
+        # Rows are formatted a block at a time, so no Python copy of the
+        # whole dataset is alive at once.
+        for start in range(0, n, _WRITE_ROWS):
+            block = slice(start, start + _WRITE_ROWS)
+            rows = zip(dataset.labels[block].tolist(), dataset.features[block].tolist())
+            text = "".join(line % (label, *values) for label, values in rows).encode("utf-8")
+            digest.update(text)
+            fh.write(text)
+    sha256 = digest.hexdigest()
+    _write_sidecar(path, sha256, _as_table(dataset.labels, dataset.features))
+    return sha256
 
 
 def load_csv_dataset(path: str, class_count: int | None = None) -> Dataset:
     """Load ``label,f0,f1,...`` CSV; malformed rows report their line number.
 
-    The body is parsed in one vectorized pass. Only when that pass fails, or
-    finds a non-finite feature, does a row-by-row parse run; it reports the
-    first bad row with its physical line number (blank lines are skipped but
-    counted). Values follow Python's ``int``/``float`` parsing either way.
+    The sidecar's table is used when it was built from CSV bytes with the
+    same SHA-256; otherwise the body is parsed and the sidecar (re)written.
+    The parse is one vectorized pass. Only when that pass fails, or finds a
+    non-finite feature, does a row-by-row parse run; it reports the first bad
+    row with its physical line number (blank lines are skipped but counted).
+    Values follow Python's ``int``/``float`` parsing either way. The returned
+    ``Dataset`` is validated on every read and carries the digest.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("label,"):
-            raise ValueError(f"{path}: missing 'label,f0,...' header row")
-        n_cols = len(header.split(","))
-        row = np.dtype(
-            [("label", np.int64), ("features", np.float64, (n_cols - 1,))]
-        )
-        try:
-            with warnings.catch_warnings():
-                # An empty body is reported by the row-by-row parse below.
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(
-                    fh, dtype=row, delimiter=",", comments=None, ndmin=1
-                )
-        except ValueError:
-            table = None
-    if table is not None and len(table) and np.isfinite(table["features"]).all():
-        labels = np.ascontiguousarray(table["label"])
-        features = np.ascontiguousarray(table["features"])
-    else:
-        labels, features = _parse_csv_rows(path, n_cols)
+    with open(path, "rb") as raw:
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: raw.read(_HASH_CHUNK), b""):
+            digest.update(chunk)
+        sha256 = digest.hexdigest()
+        raw.seek(0)
+        with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")
+            if not header.startswith("label,"):
+                raise ValueError(f"{path}: missing 'label,f0,...' header row")
+            n_cols = len(header.split(","))
+            row = _row_dtype(n_cols - 1)
+            table = _read_sidecar(path, sha256, row)
+            if table is None:
+                table = _parse_csv_body(fh, path, n_cols, row)
+                _write_sidecar(path, sha256, table)
+    labels = np.ascontiguousarray(table["label"])
+    features = np.ascontiguousarray(table["features"])
     if class_count is None:
         class_count = int(labels.max()) + 1
-    return Dataset(features, labels, class_count)
+    return Dataset(features, labels, class_count, sha256)
+
+
+def _row_dtype(dim: int) -> np.dtype:
+    return np.dtype([("label", np.int64), ("features", np.float64, (dim,))])
+
+
+def _as_table(labels: np.ndarray, features: np.ndarray) -> np.ndarray:
+    table = np.empty(len(labels), dtype=_row_dtype(features.shape[1]))
+    table["label"] = labels
+    table["features"] = features
+    return table
+
+
+def _parse_csv_body(fh, path: str, n_cols: int, row: np.dtype) -> np.ndarray:
+    """The rows after the header as one ``row``-typed table."""
+    try:
+        with warnings.catch_warnings():
+            # An empty body is reported by the row-by-row parse below.
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        table = None
+    if table is not None and len(table) and np.isfinite(table["features"]).all():
+        return table
+    return _as_table(*_parse_csv_rows(path, n_cols))
+
+
+def _read_sidecar(path: str, sha256: str, row: np.dtype) -> np.ndarray | None:
+    """The sidecar's table if it was built from CSV bytes with ``sha256``;
+    None if there is no sidecar or it is stale. A sidecar that cannot be read
+    or does not hold ``row``-typed rows is an error, not a miss."""
+    sidecar = path + SIDECAR_SUFFIX
+    try:
+        with np.load(sidecar, allow_pickle=False) as entries:
+            stored = entries["sha256"]
+            if stored.shape != () or stored.dtype.kind != "U":
+                raise ValueError(f"sha256 entry of dtype {stored.dtype} is not one string")
+            if str(stored) != sha256:
+                return None
+            table = entries["table"]
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, KeyError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        # TypeError: a plain .npy under the sidecar's name loads as one array.
+        raise ValueError(
+            f"{sidecar}: unreadable dataset sidecar ({exc}); delete it to re-parse {path}"
+        ) from None
+    if table.dtype != row or table.ndim != 1 or len(table) == 0:
+        raise ValueError(
+            f"{sidecar}: table of dtype {table.dtype} and shape {table.shape} does not "
+            f"hold rows of the header's type {row}; delete it to re-parse {path}"
+        )
+    return table
+
+
+def _write_sidecar(path: str, sha256: str, table: np.ndarray) -> None:
+    """Best effort: a sidecar that cannot be written costs the next read a
+    parse, nothing else."""
+    with contextlib.suppress(OSError), _replaced_atomically(path + SIDECAR_SUFFIX) as fh:
+        np.savez(fh, sha256=np.array(sha256), table=table)
+
+
+@contextlib.contextmanager
+def _replaced_atomically(path: str):
+    """A binary file that is renamed over ``path`` once written, so a reader
+    sees the old file or the whole new one; a failed write is removed."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _parse_csv_rows(path: str, n_cols: int) -> tuple[np.ndarray, np.ndarray]:

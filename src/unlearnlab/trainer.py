@@ -79,7 +79,6 @@ def sgd_train(
     grad_mask: np.ndarray | None = None,
     on_batch=None,
     role: str = "train",
-    method: str | None = None,
 ) -> Checkpoint:
     """Momentum SGD over seeded per-epoch shuffles of ``indices``.
 
@@ -120,7 +119,6 @@ def sgd_train(
     wall = time.perf_counter() - t0
     provenance = {
         "role": role,
-        "method": method,
         "seeds": {"train": cfg.seed, "model": model_cfg.seed},
         "wall_seconds": wall,
         "train_config": cfg.to_dict(),

@@ -1,5 +1,6 @@
 """End-to-end CLI: pipeline commands, artifacts, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 
@@ -78,10 +79,11 @@ def test_eval_model_against_itself_is_exact(tmp_path):
 
 def _strip_wall(manifest: dict) -> dict:
     # Wall-clock and absolute artifact paths legitimately differ between
-    # output directories; everything else must match bit for bit.
+    # output directories; everything else, including the dataset path
+    # recorded relative to the checkpoint, must match bit for bit.
     manifest = json.loads(json.dumps(manifest))
     prov = manifest.get("provenance", {})
-    for key in ("wall_seconds", "dataset_path", "split_path", "pretrained_path"):
+    for key in ("wall_seconds", "split_path", "pretrained_path"):
         prov.pop(key, None)
     return manifest
 
@@ -186,6 +188,84 @@ def test_changed_dataset_spec_does_not_reuse_the_csv(tmp_path, capsys):
     assert "dataset.csv was generated from dataset spec" in err
     assert "'n_per_class': 40" in err and "'n_per_class': 80" in err
     assert (out / "dataset.csv").read_bytes() == csv
+
+
+def _edit_last_digit_of_first_row(csv):
+    text = csv.read_text()
+    end = text.index("\n", text.index("\n") + 1) - 1
+    csv.write_text(text[:end] + str((int(text[end]) + 1) % 10) + text[end + 1:])
+
+
+def test_checkpoints_record_the_dataset_digest(tmp_path):
+    out = _run_pipeline(tmp_path, "digest")
+    digest = hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest()
+    for ckpt in ("pretrain", "retrain", "unlearn_sfr_on"):
+        prov = json.loads((out / ckpt / "manifest.json").read_text())["provenance"]
+        assert prov["dataset_sha256"] == digest
+        assert prov["dataset_path"] == os.path.join("..", "dataset.csv")
+
+
+def test_eval_refuses_a_dataset_edited_after_training(tmp_path, capsys):
+    out = _run_pipeline(tmp_path, "edited")
+    csv = out / "dataset.csv"
+    before = hashlib.sha256(csv.read_bytes()).hexdigest()
+    _edit_last_digit_of_first_row(csv)
+    after = hashlib.sha256(csv.read_bytes()).hexdigest()
+    capsys.readouterr()
+    for dataset in ([], ["--dataset", str(csv)]):
+        assert main([
+            "eval", "--model", str(out / "unlearn_sfr_on"), "--reference", str(out / "retrain"),
+            "--split", str(out / "split.json"), "--out", str(out / "edited.json"), *dataset,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"records dataset sha256 {before}, but" in err and f"has sha256 {after}" in err
+    assert not (out / "edited.json").exists()
+
+
+def test_unlearn_refuses_a_pretrained_checkpoint_from_other_data(tmp_path, capsys):
+    out = tmp_path / "other"
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    before = hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest()
+    _edit_last_digit_of_first_row(out / "dataset.csv")
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "sfr_on",
+                 "--pretrained", str(out / "pretrain"),
+                 "--split", str(out / "split.json")]) == 1
+    assert f"pretrain records dataset sha256 {before}, but" in capsys.readouterr().err
+    assert not (out / "unlearn_sfr_on").exists()
+
+
+def test_checkpoint_without_a_digest_is_evaluated(tmp_path):
+    out = _run_pipeline(tmp_path, "nodigest")
+    for ckpt in ("retrain", "unlearn_sfr_on"):
+        manifest_path = out / ckpt / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["provenance"]["dataset_sha256"]
+        manifest_path.write_text(json.dumps(manifest))
+    assert main([
+        "eval", "--model", str(out / "unlearn_sfr_on"), "--reference", str(out / "retrain"),
+        "--split", str(out / "split.json"), "--out", str(out / "again.json"),
+    ]) == 0
+    first = json.loads((out / "report_sfr_on.json").read_text())
+    again = json.loads((out / "again.json").read_text())
+    assert first == again
+
+
+def test_eval_resolves_the_dataset_against_the_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, "rel")
+    assert main(["pretrain", "--config", "config.json"]) == 0
+    assert main(["retrain", "--config", "config.json", "--split", "rel/split.json"]) == 0
+    argv = ["eval", "--model", "rel/pretrain", "--reference", "rel/retrain",
+            "--split", "rel/split.json", "--out", "here.json"]
+    assert main(argv) == 0
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main([arg.replace("rel/", "../rel/") for arg in argv]) == 0
+    assert (tmp_path / "elsewhere" / "here.json").read_text() == (
+        tmp_path / "here.json").read_text()
 
 
 def test_verify_command(tmp_path):

@@ -1,7 +1,9 @@
 """Dataset generation, splits, and file round-trips."""
 
+import hashlib
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from unlearnlab import data
 from unlearnlab.data import (
     Dataset,
     ForgetSplit,
@@ -63,12 +66,11 @@ class TestRandomSubsetSplit:
         sets = [set(s.forget_idx), set(s.remain_idx), set(s.test_idx)]
         assert not (sets[0] & sets[1]) and not (sets[0] & sets[2]) and not (sets[1] & sets[2])
         assert sets[0] | sets[1] | sets[2] == set(range(len(d)))
-        assert s.p_forget + s.p_remain == pytest.approx(1.0)
 
     def test_half_fraction_exact(self):
         d = generate_blobs(seed=5, n_per_class=50, class_count=2, dim=2, spread=1.0)
         s = make_random_subset_split(d, fraction=0.5, test_fraction=0.0, seed=1)
-        assert s.p_forget == 0.5
+        assert len(s.forget_idx) == len(s.remain_idx) == 50
 
     def test_rejects_degenerate_fraction(self):
         d = generate_blobs(seed=5, n_per_class=3, class_count=2, dim=2, spread=1.0)
@@ -80,7 +82,7 @@ class TestClasswiseSplit:
     def test_balanced_proportion(self):
         d = generate_blobs(seed=6, n_per_class=25, class_count=4, dim=2, spread=1.0)
         s = make_classwise_split(d, class_id=2, test_fraction=0.0, seed=0)
-        assert s.p_forget == pytest.approx(0.25)
+        assert len(s.forget_idx) == 25 and len(s.remain_idx) == 75
 
     def test_test_excludes_forgotten_class(self):
         d = generate_blobs(seed=7, n_per_class=40, class_count=4, dim=2, spread=1.0)
@@ -201,6 +203,91 @@ class TestCsvRoundTrip:
             load_csv_dataset(str(p))
 
 
+def _edit_one_digit(path):
+    """Rewrite the CSV in place with one feature digit changed: same byte
+    length, same modification time, different bytes and values."""
+    stat = os.stat(path)
+    with open(path, "rb") as fh:
+        text = fh.read()
+    end = text.index(b"\n", text.index(b"\n") + 1) - 1  # last byte of line 2
+    digit = b"%d" % ((int(text[end : end + 1]) + 1) % 10)
+    with open(path, "r+b") as fh:
+        fh.seek(end)
+        fh.write(digit)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+
+
+class TestSidecar:
+    def _saved(self, tmp_path):
+        d = generate_blobs(seed=14, n_per_class=10, class_count=3, dim=4, spread=1.0)
+        p = str(tmp_path / "d.csv")
+        return d, p, save_csv_dataset(d, p)
+
+    def test_digest_is_the_sha256_of_the_csv_bytes(self, tmp_path):
+        _, p, digest = self._saved(tmp_path)
+        with open(p, "rb") as fh:
+            assert digest == hashlib.sha256(fh.read()).hexdigest()
+        assert load_csv_dataset(p).sha256 == digest
+        with np.load(p + ".npz") as entries:
+            assert str(entries["sha256"]) == digest
+
+    def test_rewrite_with_same_length_and_mtime_is_reparsed(self, tmp_path):
+        d, p, digest = self._saved(tmp_path)
+        _edit_one_digit(p)
+        loaded = load_csv_dataset(p)
+        assert loaded.sha256 != digest
+        assert not np.array_equal(loaded.features[0], d.features[0])
+        assert np.array_equal(loaded.features[1:], d.features[1:])
+        assert loaded.features.tobytes() == _parse_csv_rows(p, 5)[1].tobytes()
+        with np.load(p + ".npz") as entries:
+            assert str(entries["sha256"]) == loaded.sha256
+
+    def test_truncated_sidecar_is_an_error_naming_it(self, tmp_path):
+        _, p, _ = self._saved(tmp_path)
+        with open(p + ".npz", "r+b") as fh:
+            fh.truncate(os.path.getsize(p + ".npz") // 2)
+        with pytest.raises(ValueError, match=f"{p}.npz: unreadable dataset sidecar"):
+            load_csv_dataset(p)
+
+    @pytest.mark.parametrize("entries", ["no_sha256", "no_table", "wrong_dtype", "npy"])
+    def test_malformed_sidecar_is_an_error_naming_it(self, tmp_path, entries):
+        _, p, digest = self._saved(tmp_path)
+        sha = np.array(digest)
+        payload = {
+            "no_sha256": {"table": np.zeros(3)},
+            "no_table": {"sha256": sha},
+            "wrong_dtype": {"sha256": sha, "table": np.zeros((30, 5))},
+        }
+        if entries == "npy":
+            with open(p + ".npz", "wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            np.savez(p + ".npz", **payload[entries])
+        with pytest.raises(ValueError, match=f"{p}.npz: .*delete it to re-parse"):
+            load_csv_dataset(p)
+
+    def test_malformed_csv_leaves_no_sidecar(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("label,f0\n0,1.5\n\n1,x\n")
+        with pytest.raises(ValueError, match="line 4: could not convert"):
+            load_csv_dataset(str(p))
+        assert os.listdir(tmp_path) == ["bad.csv"]
+
+    def test_unwritable_sidecar_leaves_the_read_working(self, tmp_path, monkeypatch):
+        p = tmp_path / "ok.csv"
+        p.write_text("label,f0\n0,1.5\n1,2.5\n")
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(data.os, "replace", refuse)
+        for _ in range(2):
+            d = load_csv_dataset(str(p))
+            assert d.features.tolist() == [[1.5], [2.5]] and d.labels.tolist() == [0, 1]
+        assert os.listdir(tmp_path) == ["ok.csv"]
+
+
 class TestSplitRoundTrip:
     def _split(self):
         d = generate_blobs(seed=11, n_per_class=30, class_count=3, dim=2, spread=1.0)
@@ -264,6 +351,7 @@ def test_forget_split_rejects_negative_index():
 # reported by its physical line number however many blank lines precede it.
 
 finite_f64 = st.floats(allow_nan=False, allow_infinity=False, width=64)
+edge_f64 = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
 
 
 @st.composite
@@ -271,7 +359,7 @@ def datasets(draw):
     n = draw(st.integers(1, 12))
     dim = draw(st.integers(1, 5))
     class_count = draw(st.integers(1, 6))
-    feats = draw(arrays(np.float64, (n, dim), elements=finite_f64))
+    feats = draw(arrays(np.float64, (n, dim), elements=st.one_of(edge_f64, finite_f64)))
     labels = draw(arrays(np.int64, n, elements=st.integers(0, class_count - 1)))
     return Dataset(feats, labels, class_count)
 
@@ -279,16 +367,31 @@ def datasets(draw):
 @settings(max_examples=60, deadline=None)
 @given(datasets())
 def test_csv_round_trip_is_bit_exact(dataset):
+    """The writer's sidecar, a parse, and the parse's sidecar all give the
+    saved bits; the two sidecars are the same bytes."""
+    no_parse = mock.patch.object(data, "_parse_csv_body", side_effect=AssertionError)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.csv")
-        save_csv_dataset(dataset, path)
-        loaded = load_csv_dataset(path, dataset.class_count)
+        digest = save_csv_dataset(dataset, path)
+        with open(path + ".npz", "rb") as fh:
+            written = fh.read()
+        with no_parse:
+            from_writer = load_csv_dataset(path, dataset.class_count)
+        os.remove(path + ".npz")
+        parsed = load_csv_dataset(path, dataset.class_count)
+        with open(path + ".npz", "rb") as fh:
+            rebuilt = fh.read()
+        with no_parse:
+            cached = load_csv_dataset(path, dataset.class_count)
         # The row-by-row parser is the reference for the vectorized one.
         ref_labels, ref_features = _parse_csv_rows(path, dataset.features.shape[1] + 1)
-    assert loaded.features.tobytes() == dataset.features.tobytes()
-    assert loaded.features.tobytes() == ref_features.tobytes()
-    assert np.array_equal(loaded.labels, dataset.labels)
+    assert rebuilt == written
+    assert ref_features.tobytes() == dataset.features.tobytes()
     assert np.array_equal(ref_labels, dataset.labels)
+    for loaded in (from_writer, parsed, cached):
+        assert loaded.features.tobytes() == dataset.features.tobytes()
+        assert np.array_equal(loaded.labels, dataset.labels)
+        assert loaded.sha256 == digest
 
 
 BAD_ROWS = {
