@@ -250,9 +250,10 @@ def _read_sidecar(path: str, sha256: str, row: np.dtype) -> np.ndarray | None:
     """The sidecar's table if it was built from CSV bytes with ``sha256``;
     None if there is no sidecar or it is stale. A sidecar that cannot be read
     or does not hold ``row``-typed rows is an error, not a miss."""
-    sidecar = path + SIDECAR_SUFFIX
+    sidecar = f"{path}{SIDECAR_SUFFIX}"
     try:
-        with np.load(sidecar, allow_pickle=False) as entries:
+        # The handle is ours, so a sidecar np.load rejects is still closed.
+        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as entries:
             stored = entries["sha256"]
             if stored.shape != () or stored.dtype.kind != "U":
                 raise ValueError(f"sha256 entry of dtype {stored.dtype} is not one string")
@@ -277,7 +278,7 @@ def _read_sidecar(path: str, sha256: str, row: np.dtype) -> np.ndarray | None:
 def _write_sidecar(path: str, sha256: str, table: np.ndarray) -> None:
     """Best effort: a sidecar that cannot be written costs the next read a
     parse, nothing else."""
-    with contextlib.suppress(OSError), _replaced_atomically(path + SIDECAR_SUFFIX) as fh:
+    with contextlib.suppress(OSError), _replaced_atomically(f"{path}{SIDECAR_SUFFIX}") as fh:
         np.savez(fh, sha256=np.array(sha256), table=table)
 
 

@@ -113,9 +113,9 @@ class TestCsvRoundTrip:
 
     def test_roundtrip_identity(self, tmp_path):
         d = generate_blobs(seed=10, n_per_class=20, class_count=3, dim=5, spread=1.3)
-        p = tmp_path / "blobs.csv"
-        save_csv_dataset(d, str(p))
-        loaded = load_csv_dataset(str(p))
+        p = tmp_path / "blobs.csv"  # a Path, not a str: both are accepted
+        save_csv_dataset(d, p)
+        loaded = load_csv_dataset(p)
         assert np.array_equal(loaded.features, d.features)
         assert np.array_equal(loaded.labels, d.labels)
         assert loaded.class_count == d.class_count
