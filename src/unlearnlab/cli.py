@@ -92,10 +92,12 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     return dataset, materialized
 
 
-def _record_dataset(ckpt, ckpt_dir: str, dataset: Dataset, dataset_path: str) -> None:
-    """Record the dataset's path relative to the checkpoint directory, where
-    ``eval`` resolves it, and the SHA-256 of its CSV bytes."""
-    ckpt.provenance["dataset_path"] = os.path.relpath(dataset_path, ckpt_dir)
+def _record_inputs(ckpt, ckpt_dir: str, dataset: Dataset, **paths: str) -> None:
+    """Record each input path (``dataset_path``, ``split_path``,
+    ``pretrained_path``) relative to the checkpoint directory, where ``eval``
+    resolves the dataset, and the SHA-256 of the dataset's CSV bytes."""
+    for key, path in paths.items():
+        ckpt.provenance[key] = os.path.relpath(path, ckpt_dir)
     ckpt.provenance["dataset_sha256"] = dataset.sha256
 
 
@@ -149,8 +151,7 @@ def cmd_pretrain(args) -> int:
         theta0, train_cfg, model_cfg, dataset, split.train_idx, role="pretrain"
     )
     ckpt_dir = os.path.join(out, "pretrain")
-    _record_dataset(ckpt, ckpt_dir, dataset, dataset_path)
-    ckpt.provenance["split_path"] = split_path
+    _record_inputs(ckpt, ckpt_dir, dataset, dataset_path=dataset_path, split_path=split_path)
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "pretrain"})
     print(ckpt_dir)
@@ -168,8 +169,7 @@ def cmd_retrain(args) -> int:
     train_cfg = TrainConfig.from_dict(config["train"])
     ckpt = retrain_oracle(model_cfg, train_cfg, dataset, split)
     ckpt_dir = os.path.join(out, "retrain")
-    _record_dataset(ckpt, ckpt_dir, dataset, dataset_path)
-    ckpt.provenance["split_path"] = args.split
+    _record_inputs(ckpt, ckpt_dir, dataset, dataset_path=dataset_path, split_path=args.split)
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "retrain"})
     print(ckpt_dir)
@@ -190,9 +190,8 @@ def cmd_unlearn(args) -> int:
         pretrained.params, pretrained.model_config, dataset, split, ucfg
     )
     ckpt_dir = os.path.join(out, f"unlearn_{args.method}")
-    _record_dataset(ckpt, ckpt_dir, dataset, dataset_path)
-    ckpt.provenance["split_path"] = args.split
-    ckpt.provenance["pretrained_path"] = args.pretrained
+    _record_inputs(ckpt, ckpt_dir, dataset, dataset_path=dataset_path,
+                   split_path=args.split, pretrained_path=args.pretrained)
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "unlearned", "method": args.method})
     print(ckpt_dir)

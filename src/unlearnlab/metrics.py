@@ -91,6 +91,45 @@ def prediction_entropy(theta: np.ndarray, cfg: ModelConfig, x: np.ndarray) -> np
     return _entropy(softmax(forward_logits(theta, cfg, x)))
 
 
+def _entropy_pool(values, name: str) -> np.ndarray:
+    pool = np.asarray(values, dtype=np.float64)
+    if pool.size == 0:
+        raise ValueError(f"entropy attack: {name} entropies must be nonempty")
+    if not np.isfinite(pool).all():
+        raise ValueError(f"entropy attack: {name} entropies must be finite")
+    return pool
+
+
+def _fit_attacker(z: np.ndarray, members: int) -> tuple[float, float]:
+    """The pinned gradient descent on the mean logistic loss of ``z``, whose
+    first ``members`` entries are labeled 1 and the rest 0; returns (w, b).
+
+    Both gradient sums come from one ``(2, n) @ (n,)`` product of the
+    stacked ``[z; 1]`` with the sigmoid buffer; the label terms (the sum of
+    ``z`` over members, and their count) are fixed, so they are summed once.
+    """
+    n = len(z)
+    design = np.empty((2, n))
+    design[0] = z
+    design[1] = 1.0
+    label_z = float(np.sum(z[:members]))
+    p = np.empty(n)
+    w = 0.0
+    b = 0.0
+    for _ in range(MIA_GD_STEPS):
+        # p = 1 / (1 + exp(-(w * z + b))) in place; IEEE rounding is
+        # symmetric in sign, so (-w) * z - b is -(w * z + b) bit for bit.
+        np.multiply(z, -w, out=p)
+        np.subtract(p, b, out=p)
+        np.exp(p, out=p)
+        np.add(p, 1.0, out=p)
+        np.divide(1.0, p, out=p)
+        sum_pz, sum_p = (design @ p).tolist()
+        w -= MIA_GD_LR * (sum_pz - label_z) / n
+        b -= MIA_GD_LR * (sum_p - members) / n
+    return w, b
+
+
 def entropy_attack(
     member_entropy: np.ndarray,
     nonmember_entropy: np.ndarray,
@@ -101,27 +140,20 @@ def entropy_attack(
     Members (remain-set entropies) are labeled 1, non-members (test-set
     entropies) 0; the returned rate is the fraction of targets scored >= 0.5.
     A zero-variance feature falls back to the majority label; the second
-    return value flags that case.
+    return value flags that case. Each of the three inputs must be nonempty
+    and finite, or ``ValueError`` names it.
     """
-    h_train = np.concatenate([member_entropy, nonmember_entropy]).astype(np.float64)
-    y = np.concatenate(
-        [np.ones(len(member_entropy)), np.zeros(len(nonmember_entropy))]
-    )
+    member = _entropy_pool(member_entropy, "member")
+    nonmember = _entropy_pool(nonmember_entropy, "non-member")
+    target = _entropy_pool(target_entropy, "target")
+    h_train = np.concatenate([member, nonmember])
     mu = h_train.mean()
     sigma = h_train.std()
     if sigma == 0.0:
-        majority = 1.0 if len(member_entropy) >= len(nonmember_entropy) else 0.0
+        majority = 1.0 if len(member) >= len(nonmember) else 0.0
         return majority, True
-    z = (h_train - mu) / sigma
-    w = 0.0
-    b = 0.0
-    for _ in range(MIA_GD_STEPS):
-        p = 1.0 / (1.0 + np.exp(-(w * z + b)))
-        err = p - y
-        w -= MIA_GD_LR * float(np.mean(err * z))
-        b -= MIA_GD_LR * float(np.mean(err))
-    z_target = (np.asarray(target_entropy, dtype=np.float64) - mu) / sigma
-    scores = w * z_target + b
+    w, b = _fit_attacker((h_train - mu) / sigma, len(member))
+    scores = w * ((target - mu) / sigma) + b
     return float(np.mean(scores >= 0.0)), False
 
 
@@ -157,9 +189,14 @@ def _check_same_config(ckpt_u: Checkpoint, ckpt_ref: Checkpoint) -> None:
         raise ValueError("checkpoints use different model configs")
 
 
-def _evaluate(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit):
-    """One forward pass per subset: FA/RA/TA, the attack's rate and fallback
-    flag, and the remain + forget softmax outputs that the KL reads."""
+def evaluate(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit):
+    """One checkpoint's side of a report, from one forward pass per subset.
+
+    Returns ``(acc, mia, fallback, probs)``: the FA/RA/TA accuracies keyed
+    ``fa``/``ra``/``ta``, the attack's rate and fallback flag, and the
+    remain + forget softmax outputs that the KL reads. Evaluate a retrain
+    reference once and pass the result to every ``full_report`` against it.
+    """
     acc, probs = {}, {}
     for key, name, idx in (("fa", "forget", split.forget_idx),
                            ("ra", "remain", split.remain_idx),
@@ -181,15 +218,25 @@ def full_report(
     dataset: Dataset,
     split: ForgetSplit,
     rte_seconds: float = 0.0,
+    ref_eval=None,
 ) -> MetricsReport:
     """Compose all metrics for one unlearned checkpoint vs. its reference.
 
     Each checkpoint runs one forward pass per subset; accuracies, entropies
     and the KL (over remain + forget, as in ``empirical_kl``) all read them.
+    ``ref_eval``, if given, is ``evaluate(ckpt_ref, dataset, split)`` computed
+    once by the caller; the report is the same with or without it.
     """
     _check_same_config(ckpt_u, ckpt_ref)
-    acc, mia, fb_u, p_u = _evaluate(ckpt_u, dataset, split)
-    ref, mia_r, fb_r, p_ref = _evaluate(ckpt_ref, dataset, split)
+    acc, mia, fb_u, p_u = evaluate(ckpt_u, dataset, split)
+    if ref_eval is None:
+        ref_eval = evaluate(ckpt_ref, dataset, split)
+    ref, mia_r, fb_r, p_ref = ref_eval
+    if p_ref.shape != p_u.shape:
+        raise ValueError(
+            f"ref_eval holds outputs of shape {p_ref.shape}, but this split's "
+            f"remain + forget outputs have shape {p_u.shape}"
+        )
     gaps = {key: 100.0 * abs(acc[key] - ref[key]) for key in acc}
     gaps["mia"] = 100.0 * abs(mia - mia_r)
     provenance = {

@@ -78,13 +78,11 @@ def test_eval_model_against_itself_is_exact(tmp_path):
 
 
 def _strip_wall(manifest: dict) -> dict:
-    # Wall-clock and absolute artifact paths legitimately differ between
-    # output directories; everything else, including the dataset path
-    # recorded relative to the checkpoint, must match bit for bit.
+    # Wall-clock time legitimately differs between runs; everything else,
+    # including the input paths recorded relative to the checkpoint, must
+    # match bit for bit.
     manifest = json.loads(json.dumps(manifest))
-    prov = manifest.get("provenance", {})
-    for key in ("wall_seconds", "split_path", "pretrained_path"):
-        prov.pop(key, None)
+    manifest.get("provenance", {}).pop("wall_seconds", None)
     return manifest
 
 
@@ -266,6 +264,23 @@ def test_eval_resolves_the_dataset_against_the_checkpoint(tmp_path, monkeypatch)
     assert main([arg.replace("rel/", "../rel/") for arg in argv]) == 0
     assert (tmp_path / "elsewhere" / "here.json").read_text() == (
         tmp_path / "here.json").read_text()
+
+
+def test_input_paths_are_recorded_relative_to_the_checkpoint(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_config(tmp_path / "config.json", "rel")
+    assert main(["pretrain", "--config", "config.json"]) == 0
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    common = ["--config", "../config.json", "--split", "../rel/split.json", "--out", "../rel"]
+    assert main(["retrain", *common]) == 0
+    assert main(["unlearn", *common, "--method", "ft", "--pretrained", "../rel/pretrain"]) == 0
+    expected = {"dataset_path": "../dataset.csv", "split_path": "../split.json"}
+    for ckpt in ("pretrain", "retrain", "unlearn_ft"):
+        prov = json.loads((tmp_path / "rel" / ckpt / "manifest.json").read_text())["provenance"]
+        if ckpt == "unlearn_ft":
+            expected["pretrained_path"] = "../pretrain"
+        assert {key: prov.get(key) for key in expected} == expected, ckpt
 
 
 def test_verify_command(tmp_path):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unlearnlab import metrics
 from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_subset_split
@@ -13,6 +15,7 @@ from unlearnlab.metrics import (
     avg_disparity,
     empirical_kl,
     entropy_attack,
+    evaluate,
     full_report,
     prediction_entropy,
 )
@@ -118,6 +121,85 @@ class TestEntropyAttack:
         lowered = np.minimum(target, member.mean() - 0.05)
         low_rate, _ = entropy_attack(member, nonmember, lowered)
         assert low_rate >= base_rate
+
+
+def _oracle_attack(member, nonmember, target):
+    """The attacker as one plain loop: each step forms p, p - y and both
+    gradient means afresh. Returns (rate, fallback, w, b)."""
+    h_train = np.concatenate([member, nonmember]).astype(np.float64)
+    y = np.concatenate([np.ones(len(member)), np.zeros(len(nonmember))])
+    mu = h_train.mean()
+    sigma = h_train.std()
+    if sigma == 0.0:
+        return (1.0 if len(member) >= len(nonmember) else 0.0), True, 0.0, 0.0
+    z = (h_train - mu) / sigma
+    w = 0.0
+    b = 0.0
+    for _ in range(metrics.MIA_GD_STEPS):
+        p = 1.0 / (1.0 + np.exp(-(w * z + b)))
+        err = p - y
+        w -= metrics.MIA_GD_LR * float(np.mean(err * z))
+        b -= metrics.MIA_GD_LR * float(np.mean(err))
+    scores = w * ((np.asarray(target, dtype=np.float64) - mu) / sigma) + b
+    return float(np.mean(scores >= 0.0)), False, w, b
+
+
+@st.composite
+def entropy_pools(draw):
+    """Member and non-member entropy pools of 2-3 000 values in all, with a
+    5-95 % member share; a quarter of them constant, the rest drawn around
+    two means in [0, ln 4] with their own spreads."""
+    n = draw(st.integers(2, 3000))
+    share = draw(st.floats(0.05, 0.95))
+    members = min(max(round(share * n), 1), n - 1)
+    if draw(st.integers(0, 3)) == 0:
+        value = draw(st.floats(0.0, np.log(4)))
+        return np.full(members, value), np.full(n - members, value)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean_m, mean_n = rng.uniform(0.0, np.log(4), 2)
+    sd_m, sd_n = 10.0 ** rng.uniform(-3, 0, 2)
+    return (np.abs(rng.normal(mean_m, sd_m, members)),
+            np.abs(rng.normal(mean_n, sd_n, n - members)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(entropy_pools())
+def test_attack_matches_the_plain_loop(pools):
+    member, nonmember = pools
+    pooled = np.concatenate([member, nonmember])
+    # A dense grid of targets across the pools: equal rates on it put the
+    # decision threshold between the same two grid points.
+    grid = np.linspace(pooled.min() - 0.1, pooled.max() + 0.1, 20_001)
+    for target in (member[: max(1, len(member) // 2)], nonmember, grid):
+        rate, fallback = entropy_attack(member, nonmember, target)
+        oracle_rate, oracle_fallback, w0, b0 = _oracle_attack(member, nonmember, target)
+        assert (rate, fallback) == (oracle_rate, oracle_fallback)
+    if not fallback:
+        z = (pooled - pooled.mean()) / pooled.std()
+        w, b = metrics._fit_attacker(z, len(member))
+        assert np.hypot(w - w0, b - b0) <= 1e-12 * np.hypot(w0, b0)
+
+
+class TestAttackInputs:
+    POOLS = {"member": np.linspace(0.1, 0.3, 8), "non-member": np.linspace(0.5, 1.0, 6),
+             "target": np.linspace(0.0, 1.0, 5)}
+
+    def _attack(self, name, values):
+        pools = {**self.POOLS, name: values}
+        return entropy_attack(pools["member"], pools["non-member"], pools["target"])
+
+    @pytest.mark.parametrize("name", ["member", "non-member", "target"])
+    def test_empty_pool_is_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} entropies must be nonempty"):
+            self._attack(name, np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["member", "non-member", "target"])
+    def test_non_finite_entropy_is_rejected(self, name, bad):
+        values = self.POOLS[name].copy()
+        values[1] = bad
+        with pytest.raises(ValueError, match=f"{name} entropies must be finite"):
+            self._attack(name, values)
 
 
 class TestEmpiricalKl:
@@ -262,6 +344,25 @@ class TestFullReport:
         sizes = [len(split.forget_idx), len(split.remain_idx), len(split.test_idx)]
         assert rows == sizes + sizes
 
+    def test_reference_evaluated_once_gives_the_same_report(self):
+        dataset = generate_blobs(seed=54, n_per_class=50, class_count=3, dim=4, spread=0.9)
+        split = make_random_subset_split(dataset, fraction=0.3, test_fraction=0.2, seed=3)
+        cfg = ModelConfig(layer_sizes=(4, 6, 3), seed=5)
+        ref = Checkpoint(init_params(cfg), cfg, {"role": "retrain"})
+        ref_eval = evaluate(ref, dataset, split)
+        for seed in (6, 7):
+            theta = init_params(cfg) + np.random.default_rng(seed).standard_normal(param_count(cfg))
+            u = Checkpoint(theta, cfg, {"method": "ft"})
+            once = full_report(u, ref, dataset, split, rte_seconds=0.5, ref_eval=ref_eval)
+            each = full_report(u, ref, dataset, split, rte_seconds=0.5)
+            assert once.to_json() == each.to_json()
+
+    def test_reference_evaluation_of_another_split_rejected(self):
+        ckpt, dataset, split = self._inputs()
+        other = make_random_subset_split(dataset, fraction=0.3, test_fraction=0.1, seed=2)
+        with pytest.raises(ValueError, match="ref_eval holds outputs of shape"):
+            full_report(ckpt, ckpt, dataset, split, ref_eval=evaluate(ckpt, dataset, other))
+
     def test_empty_test_set_rejected(self):
         ckpt, dataset, split = self._inputs()
         no_test = ForgetSplit(split.forget_idx, np.concatenate([split.remain_idx, split.test_idx]),
@@ -274,6 +375,8 @@ class TestFullReport:
         other = Checkpoint(ckpt.params, ModelConfig(layer_sizes=(4, 6, 3), seed=5))
         with pytest.raises(ValueError, match="config"):
             full_report(ckpt, other, dataset, split)
+        with pytest.raises(ValueError, match="config"):
+            full_report(ckpt, other, dataset, split, ref_eval=evaluate(ckpt, dataset, split))
 
     def test_unknown_key_rejected_on_load(self):
         ckpt, dataset, split = self._inputs()
