@@ -92,23 +92,26 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     return dataset, materialized
 
 
-def _record_inputs(ckpt, ckpt_dir: str, dataset: Dataset, **paths: str) -> None:
+def _record_inputs(ckpt, ckpt_dir: str, dataset: Dataset, split=None, **paths: str) -> None:
     """Record each input path (``dataset_path``, ``split_path``,
     ``pretrained_path``) relative to the checkpoint directory, where ``eval``
-    resolves the dataset, and the SHA-256 of the dataset's CSV bytes."""
+    resolves the dataset, the SHA-256 of the dataset's CSV bytes and, given
+    a split read from a file, the SHA-256 of that file's bytes."""
     for key, path in paths.items():
         ckpt.provenance[key] = os.path.relpath(path, ckpt_dir)
     ckpt.provenance["dataset_sha256"] = dataset.sha256
+    if split is not None:
+        ckpt.provenance["split_sha256"] = split.sha256
 
 
-def _check_dataset(ckpt, ckpt_dir: str, dataset: Dataset, dataset_path: str) -> None:
-    """Refuse a checkpoint trained on other CSV bytes than ``dataset_path``
-    holds. Checkpoints that record no digest (library-made) pass."""
-    recorded = ckpt.provenance.get("dataset_sha256")
-    if recorded is not None and recorded != dataset.sha256:
+def _check_digest(ckpt, ckpt_dir: str, what: str, sha256: str, path: str) -> None:
+    """Refuse a checkpoint made from another ``what`` (dataset or split) file
+    than ``path``, whose bytes have ``sha256``. Checkpoints that record no
+    digest (library-made) pass."""
+    recorded = ckpt.provenance.get(f"{what}_sha256")
+    if recorded is not None and recorded != sha256:
         raise ValueError(
-            f"{ckpt_dir} records dataset sha256 {recorded}, but {dataset_path} "
-            f"has sha256 {dataset.sha256}"
+            f"{ckpt_dir} records {what} sha256 {recorded}, but {path} has sha256 {sha256}"
         )
 
 
@@ -169,7 +172,8 @@ def cmd_retrain(args) -> int:
     train_cfg = TrainConfig.from_dict(config["train"])
     ckpt = retrain_oracle(model_cfg, train_cfg, dataset, split)
     ckpt_dir = os.path.join(out, "retrain")
-    _record_inputs(ckpt, ckpt_dir, dataset, dataset_path=dataset_path, split_path=args.split)
+    _record_inputs(ckpt, ckpt_dir, dataset, split,
+                   dataset_path=dataset_path, split_path=args.split)
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "retrain"})
     print(ckpt_dir)
@@ -182,7 +186,7 @@ def cmd_unlearn(args) -> int:
     dataset, dataset_path = resolve_dataset(config, out)
     split = load_split(args.split, len(dataset))
     pretrained = load_checkpoint(args.pretrained)
-    _check_dataset(pretrained, args.pretrained, dataset, dataset_path)
+    _check_digest(pretrained, args.pretrained, "dataset", dataset.sha256, dataset_path)
     method_cfg = dict(config["unlearn"][args.method])
     method_cfg["method"] = args.method
     ucfg = UnlearnConfig.from_dict(method_cfg)
@@ -190,7 +194,7 @@ def cmd_unlearn(args) -> int:
         pretrained.params, pretrained.model_config, dataset, split, ucfg
     )
     ckpt_dir = os.path.join(out, f"unlearn_{args.method}")
-    _record_inputs(ckpt, ckpt_dir, dataset, dataset_path=dataset_path,
+    _record_inputs(ckpt, ckpt_dir, dataset, split, dataset_path=dataset_path,
                    split_path=args.split, pretrained_path=args.pretrained)
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "unlearned", "method": args.method})
@@ -212,9 +216,10 @@ def cmd_eval(args) -> int:
             return 1
         dataset_path = os.path.join(args.model, recorded)
     dataset = load_csv_dataset(dataset_path)
-    _check_dataset(ckpt_u, args.model, dataset, dataset_path)
-    _check_dataset(ckpt_ref, args.reference, dataset, dataset_path)
     split = load_split(args.split, len(dataset))
+    for ckpt, ckpt_dir in ((ckpt_u, args.model), (ckpt_ref, args.reference)):
+        _check_digest(ckpt, ckpt_dir, "dataset", dataset.sha256, dataset_path)
+        _check_digest(ckpt, ckpt_dir, "split", split.sha256, args.split)
     rte = float(ckpt_u.provenance.get("wall_seconds", 0.0))
     report = full_report(ckpt_u, ckpt_ref, dataset, split, rte_seconds=rte)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -66,6 +66,8 @@ class ForgetSplit:
     remain_idx: np.ndarray
     test_idx: np.ndarray
     mode: dict = field(default_factory=dict)
+    # SHA-256 of the split file's bytes this split was read from; None in memory.
+    sha256: str | None = None
 
     def __post_init__(self):
         self.forget_idx = np.asarray(self.forget_idx, dtype=np.int64)
@@ -340,13 +342,15 @@ def save_split(split: ForgetSplit, path: str) -> None:
 def load_split(path: str, n_rows: int | None = None) -> ForgetSplit:
     """Load a split; with ``n_rows``, also reject indices past the last row
     of an ``n_rows``-row dataset."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    payload = json.loads(raw.decode("utf-8"))
     split = ForgetSplit(
         forget_idx=np.asarray(payload["forget_idx"], dtype=np.int64),
         remain_idx=np.asarray(payload["remain_idx"], dtype=np.int64),
         test_idx=np.asarray(payload["test_idx"], dtype=np.int64),
         mode=dict(payload.get("mode", {})),
+        sha256=hashlib.sha256(raw).hexdigest(),
     )
     if n_rows is not None:
         top = int(np.concatenate([split.train_idx, split.test_idx]).max())

@@ -8,6 +8,7 @@ in percentage points, and run-time seconds. Natural logs throughout.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -189,13 +190,12 @@ def _check_same_config(ckpt_u: Checkpoint, ckpt_ref: Checkpoint) -> None:
         raise ValueError("checkpoints use different model configs")
 
 
-def evaluate(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit):
+def _evaluate(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit):
     """One checkpoint's side of a report, from one forward pass per subset.
 
     Returns ``(acc, mia, fallback, probs)``: the FA/RA/TA accuracies keyed
     ``fa``/``ra``/``ta``, the attack's rate and fallback flag, and the
-    remain + forget softmax outputs that the KL reads. Evaluate a retrain
-    reference once and pass the result to every ``full_report`` against it.
+    remain + forget softmax outputs that the KL reads.
     """
     acc, probs = {}, {}
     for key, name, idx in (("fa", "forget", split.forget_idx),
@@ -212,31 +212,57 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit):
     return acc, mia, fallback, np.concatenate([probs["remain"], probs["forget"]])
 
 
+# The reference side of the last report, as {key: (acc, mia, fallback, probs)}.
+# The six reports of one forget request share a reference, so one entry is
+# enough; a report against another reference replaces it.
+_reference_memo: dict = {}
+
+
+def _reference_key(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit) -> str:
+    """SHA-256 over everything ``_evaluate`` reads. Arrays are hashed by
+    content on every call, with dtype and shape, because ``Dataset`` and
+    ``Checkpoint`` arrays can be changed in place."""
+    digest = hashlib.sha256(json.dumps(ckpt.model_config.to_dict(), sort_keys=True).encode())
+    for array in (ckpt.params, dataset.features, dataset.labels,
+                  split.forget_idx, split.remain_idx, split.test_idx):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array)
+    return digest.hexdigest()
+
+
+def _evaluate_reference(ckpt: Checkpoint, dataset: Dataset, split: ForgetSplit):
+    """``_evaluate`` of a retrain reference, computed once per distinct
+    (reference, dataset, split) content and reused while it stays the last.
+    Callers get their own ``acc`` dict and read-only probabilities."""
+    key = _reference_key(ckpt, dataset, split)
+    entry = _reference_memo.get(key)
+    if entry is None:
+        entry = _evaluate(ckpt, dataset, split)
+        entry[3].flags.writeable = False
+        _reference_memo.clear()
+        _reference_memo[key] = entry
+    acc, mia, fallback, probs = entry
+    return dict(acc), mia, fallback, probs
+
+
 def full_report(
     ckpt_u: Checkpoint,
     ckpt_ref: Checkpoint,
     dataset: Dataset,
     split: ForgetSplit,
     rte_seconds: float = 0.0,
-    ref_eval=None,
 ) -> MetricsReport:
     """Compose all metrics for one unlearned checkpoint vs. its reference.
 
     Each checkpoint runs one forward pass per subset; accuracies, entropies
     and the KL (over remain + forget, as in ``empirical_kl``) all read them.
-    ``ref_eval``, if given, is ``evaluate(ckpt_ref, dataset, split)`` computed
-    once by the caller; the report is the same with or without it.
+    The reference's side is reused from the previous report when the
+    reference, dataset and split are byte-identical to its.
     """
     _check_same_config(ckpt_u, ckpt_ref)
-    acc, mia, fb_u, p_u = evaluate(ckpt_u, dataset, split)
-    if ref_eval is None:
-        ref_eval = evaluate(ckpt_ref, dataset, split)
-    ref, mia_r, fb_r, p_ref = ref_eval
-    if p_ref.shape != p_u.shape:
-        raise ValueError(
-            f"ref_eval holds outputs of shape {p_ref.shape}, but this split's "
-            f"remain + forget outputs have shape {p_u.shape}"
-        )
+    acc, mia, fb_u, p_u = _evaluate(ckpt_u, dataset, split)
+    ref, mia_r, fb_r, p_ref = _evaluate_reference(ckpt_ref, dataset, split)
     gaps = {key: 100.0 * abs(acc[key] - ref[key]) for key in acc}
     gaps["mia"] = 100.0 * abs(mia - mia_r)
     provenance = {

@@ -53,7 +53,6 @@ class UnlearnConfig:
     batch_f: int = 32
     batch_r: int = 64
     seed: int = 0
-    fisher_mode: str = "per_sample_mean"  # per_sample_mean | batch_square
     salun_top_k: float = 20.0  # percent of parameters kept by the salun mask
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class UnlearnConfig:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.batch_f < 1 or self.batch_r < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.fisher_mode not in ("per_sample_mean", "batch_square"):
-            raise ValueError(f"unknown fisher_mode {self.fisher_mode!r}")
         if not 0 < self.salun_top_k <= 100:
             raise ValueError(f"salun_top_k must be in (0,100], got {self.salun_top_k}")
 
@@ -105,13 +102,9 @@ def _squared_grad_diag(
     cfg: ModelConfig,
     dataset: Dataset,
     idx: np.ndarray,
-    mode: str,
 ) -> np.ndarray:
     if len(idx) == 0:
         raise ValueError("cannot estimate a Fisher diagonal from an empty set")
-    if mode == "batch_square":
-        _, g = loss_and_grad(theta, cfg, dataset.features[idx], dataset.labels[idx])
-        return g * g
     acc = np.zeros_like(theta)
     for i in idx:
         _, g = loss_and_grad(
@@ -126,19 +119,13 @@ def fisher_diagonals(
     cfg: ModelConfig,
     dataset: Dataset,
     split: ForgetSplit,
-    mode: str = "per_sample_mean",
 ) -> FisherDiagonals:
-    """Squared-gradient diagonals on the forget and remain sets at ``theta0``.
-
-    ``per_sample_mean`` averages elementwise squared per-sample gradients (the
-    Fisher-diagonal estimator); ``batch_square`` squares the full-set mean
-    gradient instead, which cancels opposing per-sample gradients.
-    """
-    if mode not in ("per_sample_mean", "batch_square"):
-        raise ValueError(f"unknown fisher mode {mode!r}")
+    """Squared-gradient diagonals on the forget and remain sets at ``theta0``:
+    the mean of elementwise squared per-sample gradients (the Fisher-diagonal
+    estimator)."""
     return FisherDiagonals(
-        forget=_squared_grad_diag(theta0, cfg, dataset, split.forget_idx, mode),
-        remain=_squared_grad_diag(theta0, cfg, dataset, split.remain_idx, mode),
+        forget=_squared_grad_diag(theta0, cfg, dataset, split.forget_idx),
+        remain=_squared_grad_diag(theta0, cfg, dataset, split.remain_idx),
     )
 
 
@@ -197,7 +184,7 @@ def sfr_on(
     repaired). The Fisher diagonals and mask are computed once at ``theta0``.
     """
     t0 = time.perf_counter()
-    fd = fisher_diagonals(theta0, model_cfg, dataset, split, ucfg.fisher_mode)
+    fd = fisher_diagonals(theta0, model_cfg, dataset, split)
     mask = saliency_mask(fd, ucfg.gamma)
     rng = np.random.default_rng(ucfg.seed)
     theta = np.asarray(theta0, dtype=np.float64).copy()

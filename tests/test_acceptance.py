@@ -20,7 +20,6 @@ from unlearnlab.metrics import (
     avg_disparity,
     empirical_kl,
     entropy_attack,
-    evaluate,
     full_report,
 )
 from unlearnlab.model import ModelConfig, init_params
@@ -96,12 +95,10 @@ def desk_study():
                 seed=400 + s,
             ),
         }
-        rt_eval = evaluate(rt, dataset, split)
         for name, ucfg in configs.items():
             ckpt = run_unlearning(pre.params, model_cfg, dataset, split, ucfg)
             rep = full_report(ckpt, rt, dataset, split,
-                              rte_seconds=ckpt.provenance.get("wall_seconds", 0.0),
-                              ref_eval=rt_eval)
+                              rte_seconds=ckpt.provenance.get("wall_seconds", 0.0))
             trial[name] = {"kl": rep.kl_to_ref, "avg_d": rep.avg_d,
                            "fa": rep.fa, "ra": rep.ra}
         trials.append(trial)

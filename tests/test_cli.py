@@ -234,6 +234,36 @@ def test_unlearn_refuses_a_pretrained_checkpoint_from_other_data(tmp_path, capsy
     assert not (out / "unlearn_sfr_on").exists()
 
 
+def test_eval_refuses_a_checkpoint_built_on_another_split(tmp_path, capsys):
+    out = _run_pipeline(tmp_path, "resplit")
+    split_a, split_b = out / "split.json", out / "split_b.json"
+    payload = json.loads(split_a.read_text())
+    payload["forget_idx"][0], payload["remain_idx"][0] = (payload["remain_idx"][0],
+                                                          payload["forget_idx"][0])
+    split_b.write_text(json.dumps(payload))
+    assert main(["retrain", "--config", str(tmp_path / "config_resplit.json"),
+                 "--split", str(split_b), "--out", str(out / "b")]) == 0
+    digest_a, digest_b = (hashlib.sha256(p.read_bytes()).hexdigest() for p in (split_a, split_b))
+    for ckpt, digest in (("retrain", digest_a), ("unlearn_sfr_on", digest_a),
+                         ("b/retrain", digest_b)):
+        prov = json.loads((out / ckpt / "manifest.json").read_text())["provenance"]
+        assert prov["split_sha256"] == digest
+    assert "split_sha256" not in json.loads(
+        (out / "pretrain" / "manifest.json").read_text())["provenance"]
+    capsys.readouterr()
+    # The model, then the reference, was built on the other split.
+    for reference, split, offender, recorded, given in (
+            ("retrain", split_b, "unlearn_sfr_on", digest_a, digest_b),
+            ("b/retrain", split_a, "b/retrain", digest_b, digest_a)):
+        assert main(["eval", "--model", str(out / "unlearn_sfr_on"),
+                     "--reference", str(out / reference), "--split", str(split),
+                     "--out", str(out / "mixed.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out / offender} records split sha256 {recorded}, but {split} "
+            f"has sha256 {given}\n")
+    assert not (out / "mixed.json").exists()
+
+
 def test_checkpoint_without_a_digest_is_evaluated(tmp_path):
     out = _run_pipeline(tmp_path, "nodigest")
     for ckpt in ("retrain", "unlearn_sfr_on"):

@@ -15,12 +15,17 @@ from unlearnlab.metrics import (
     avg_disparity,
     empirical_kl,
     entropy_attack,
-    evaluate,
     full_report,
     prediction_entropy,
 )
-from unlearnlab.model import ModelConfig, flatten, init_params, param_count
+from unlearnlab.model import ModelConfig, flatten, init_params, param_count, predict_labels
 from unlearnlab.trainer import Checkpoint
+
+
+@pytest.fixture(autouse=True)
+def cold_reference_memo():
+    """Every test starts without a remembered reference evaluation."""
+    metrics._reference_memo.clear()
 
 
 def _identity_checkpoint(scale: float, classes: int = 4) -> Checkpoint:
@@ -168,8 +173,10 @@ def test_attack_matches_the_plain_loop(pools):
     member, nonmember = pools
     pooled = np.concatenate([member, nonmember])
     # A dense grid of targets across the pools: equal rates on it put the
-    # decision threshold between the same two grid points.
-    grid = np.linspace(pooled.min() - 0.1, pooled.max() + 0.1, 20_001)
+    # decision threshold between the same two grid points. The count is even,
+    # so no point sits at the pools' midpoint: with one member and one
+    # non-member the threshold is there, and its side is rounding noise.
+    grid = np.linspace(pooled.min() - 0.1, pooled.max() + 0.1, 20_000)
     for target in (member[: max(1, len(member) // 2)], nonmember, grid):
         rate, fallback = entropy_attack(member, nonmember, target)
         oracle_rate, oracle_fallback, w0, b0 = _oracle_attack(member, nonmember, target)
@@ -343,25 +350,11 @@ class TestFullReport:
         full_report(ckpt, ckpt, dataset, split)
         sizes = [len(split.forget_idx), len(split.remain_idx), len(split.test_idx)]
         assert rows == sizes + sizes
-
-    def test_reference_evaluated_once_gives_the_same_report(self):
-        dataset = generate_blobs(seed=54, n_per_class=50, class_count=3, dim=4, spread=0.9)
-        split = make_random_subset_split(dataset, fraction=0.3, test_fraction=0.2, seed=3)
-        cfg = ModelConfig(layer_sizes=(4, 6, 3), seed=5)
-        ref = Checkpoint(init_params(cfg), cfg, {"role": "retrain"})
-        ref_eval = evaluate(ref, dataset, split)
-        for seed in (6, 7):
-            theta = init_params(cfg) + np.random.default_rng(seed).standard_normal(param_count(cfg))
-            u = Checkpoint(theta, cfg, {"method": "ft"})
-            once = full_report(u, ref, dataset, split, rte_seconds=0.5, ref_eval=ref_eval)
-            each = full_report(u, ref, dataset, split, rte_seconds=0.5)
-            assert once.to_json() == each.to_json()
-
-    def test_reference_evaluation_of_another_split_rejected(self):
-        ckpt, dataset, split = self._inputs()
-        other = make_random_subset_split(dataset, fraction=0.3, test_fraction=0.1, seed=2)
-        with pytest.raises(ValueError, match="ref_eval holds outputs of shape"):
-            full_report(ckpt, ckpt, dataset, split, ref_eval=evaluate(ckpt, dataset, other))
+        # A second report against the same reference runs only the
+        # unlearned model's passes.
+        rows.clear()
+        full_report(Checkpoint(ckpt.params + 0.5, ckpt.model_config), ckpt, dataset, split)
+        assert rows == sizes
 
     def test_empty_test_set_rejected(self):
         ckpt, dataset, split = self._inputs()
@@ -375,8 +368,6 @@ class TestFullReport:
         other = Checkpoint(ckpt.params, ModelConfig(layer_sizes=(4, 6, 3), seed=5))
         with pytest.raises(ValueError, match="config"):
             full_report(ckpt, other, dataset, split)
-        with pytest.raises(ValueError, match="config"):
-            full_report(ckpt, other, dataset, split, ref_eval=evaluate(ckpt, dataset, split))
 
     def test_unknown_key_rejected_on_load(self):
         ckpt, dataset, split = self._inputs()
@@ -390,3 +381,99 @@ class TestFullReport:
         row = full_report(ckpt, ckpt, dataset, split).markdown_row()
         cells = [c for c in row.strip().strip("|").split("|")]
         assert len(cells) == 7
+
+
+def _cold_report(u, ref, dataset, split) -> str:
+    metrics._reference_memo.clear()
+    return full_report(u, ref, dataset, split).to_json()
+
+
+@st.composite
+def report_inputs(draw):
+    """A blobs dataset with a random split, a reference and three unlearned
+    models of one random 4-h-3 architecture with perturbed parameters."""
+    dataset = generate_blobs(seed=draw(st.integers(0, 2**16)),
+                             n_per_class=draw(st.integers(10, 40)), class_count=3, dim=4,
+                             spread=draw(st.floats(0.3, 2.0)))
+    split = make_random_subset_split(dataset, fraction=draw(st.floats(0.1, 0.6)),
+                                     test_fraction=draw(st.floats(0.2, 0.4)),
+                                     seed=draw(st.integers(0, 2**16)))
+    cfg = ModelConfig(layer_sizes=(4, draw(st.integers(1, 8)), 3), seed=draw(st.integers(0, 99)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ckpts = [Checkpoint(init_params(cfg) + rng.normal(0.0, draw(st.floats(0.0, 3.0)),
+                                                     param_count(cfg)), cfg)
+             for _ in range(4)]
+    return dataset, split, ckpts[0], ckpts[1:]
+
+
+@settings(max_examples=25, deadline=None)
+@given(report_inputs())
+def test_warm_reference_memo_gives_the_cold_report(inputs):
+    dataset, split, ref, units = inputs
+    metrics._reference_memo.clear()
+    warm = [full_report(u, ref, dataset, split).to_json() for u in units]
+    assert warm == [_cold_report(u, ref, dataset, split) for u in units]
+
+
+class TestReferenceMemo:
+    def _inputs(self):
+        # Rows 114-119 belong to no set, so an index can move to a row no
+        # set holds and change exactly one index array.
+        dataset = generate_blobs(seed=55, n_per_class=40, class_count=3, dim=4, spread=0.9)
+        split = make_random_subset_split(
+            Dataset(dataset.features[:114], dataset.labels[:114], 3),
+            fraction=0.3, test_fraction=0.25, seed=4)
+        cfg = ModelConfig(layer_sizes=(4, 6, 3), seed=6)
+        ref = Checkpoint(init_params(cfg), cfg, {"role": "retrain"})
+        u = Checkpoint(init_params(cfg) + np.random.default_rng(8).standard_normal(
+            param_count(cfg)), cfg, {"method": "ft"})
+        return dataset, split, ref, u
+
+    @staticmethod
+    def _flipped_twin(dataset, ref, row):
+        """Make spare row 114 a copy of ``row`` whose label flips whether the
+        reference classifies it correctly; returns 114."""
+        pred = predict_labels(ref.params, ref.model_config, dataset.features[row:row + 1])[0]
+        dataset.features[114] = dataset.features[row]
+        dataset.labels[114] = (pred + 1) % 3 if dataset.labels[row] == pred else pred
+        return 114
+
+    @pytest.mark.parametrize("change", ["features", "labels", "params", "forget_idx",
+                                        "remain_idx", "test_idx"])
+    def test_in_place_change_between_reports_is_seen(self, change):
+        dataset, split, ref, u = self._inputs()
+        if change.endswith("_idx"):
+            idx = getattr(split, change)
+            twin = self._flipped_twin(dataset, ref, idx[0])
+        before = full_report(u, ref, dataset, split).to_json()
+        if change == "features":
+            dataset.features[split.remain_idx[0]] += 1.0
+        elif change == "labels":
+            dataset.labels[split.forget_idx[0]] = (dataset.labels[split.forget_idx[0]] + 1) % 3
+        elif change == "params":
+            ref.params[-1] += 1.0
+        else:
+            idx[0] = twin
+        after = full_report(u, ref, dataset, split).to_json()
+        assert after != before
+        assert after == _cold_report(u, ref, dataset, split)
+
+    def test_config_of_a_reference_with_the_same_bytes_is_seen(self):
+        # (4, 8, 3) and (4, 2, 9, 3) both hold 67 parameters.
+        dataset, split, _, _ = self._inputs()
+        theta = np.random.default_rng(9).standard_normal(67)
+        for sizes in ((4, 8, 3), (4, 2, 9, 3)):
+            cfg = ModelConfig(layer_sizes=sizes)
+            ref, u = Checkpoint(theta, cfg), Checkpoint(0.5 * theta, cfg)
+            assert full_report(u, ref, dataset, split).to_json() == _cold_report(
+                u, ref, dataset, split)
+
+    def test_remembered_outputs_cannot_be_changed_by_a_caller(self):
+        dataset, split, ref, u = self._inputs()
+        first = full_report(u, ref, dataset, split).to_json()
+        acc, _, _, probs = metrics._evaluate_reference(ref, dataset, split)
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            probs[0, 0] = 1.0
+        acc["fa"] = -1.0
+        assert full_report(u, ref, dataset, split).to_json() == first

@@ -236,7 +236,6 @@ CONFIGS = st.one_of(
               t_out=st.integers(1, 200), lambda_temp=st.floats(0.0, 3.0),
               gamma=st.floats(0.0, 10.0), batch_f=st.integers(1, 512),
               batch_r=st.integers(1, 512), seed=seeds,
-              fisher_mode=st.sampled_from(["per_sample_mean", "batch_square"]),
               salun_top_k=st.floats(0.5, 100.0)),
     st.builds(MetricsReport, fa=finite, ra=finite, ta=finite, mia=finite, kl_to_ref=finite,
               avg_d=finite, rte_seconds=finite,

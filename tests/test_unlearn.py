@@ -43,33 +43,30 @@ def testbed():
 
 
 class TestFisherDiagonals:
-    def test_two_modes_diverge_on_opposing_gradients(self):
+    def test_opposing_gradients_do_not_cancel(self):
         # Two mirrored samples at the zero model: per-sample bias gradients
-        # are exact opposites, so squaring after averaging cancels them while
-        # averaging the squares does not.
+        # are exact opposites, so squaring the full-set mean gradient would
+        # cancel them, while averaging the squared gradients does not.
         cfg = ModelConfig(layer_sizes=(1, 2))
         dataset = Dataset(np.array([[1.0], [-1.0], [1.0]]), np.array([0, 1, 0]), class_count=2)
         theta = np.zeros(4)
         both = ForgetSplit(np.array([0, 1]), np.array([2]), np.array([], dtype=int))
-        fd_mean = fisher_diagonals(theta, cfg, dataset, both, mode="per_sample_mean")
-        fd_square = fisher_diagonals(theta, cfg, dataset, both, mode="batch_square")
-        assert fd_mean.forget == pytest.approx([0.25, 0.25, 0.25, 0.25], abs=1e-15)
-        assert fd_square.forget == pytest.approx([0.25, 0.25, 0.0, 0.0], abs=1e-15)
+        fd = fisher_diagonals(theta, cfg, dataset, both)
+        assert fd.forget == pytest.approx([0.25, 0.25, 0.25, 0.25], abs=1e-15)
 
     def test_zero_gradient_model(self):
         cfg = ModelConfig(layer_sizes=(1, 2))
         theta = flatten([(np.array([[50.0, -50.0]]), np.zeros(2))])
         dataset = Dataset(np.array([[1.0], [1.0]]), np.array([0, 0]), class_count=2)
         split = ForgetSplit(np.array([0]), np.array([1]), np.array([], dtype=int))
-        fd = fisher_diagonals(theta, cfg, dataset, split, mode="per_sample_mean")
+        fd = fisher_diagonals(theta, cfg, dataset, split)
         assert np.abs(fd.forget).max() <= 1e-40
         assert np.abs(fd.remain).max() <= 1e-40
 
     def test_nonnegative_on_random_models(self, testbed):
         dataset, split, cfg, theta0 = testbed
-        for mode in ("per_sample_mean", "batch_square"):
-            fd = fisher_diagonals(theta0, cfg, dataset, split, mode=mode)
-            assert (fd.forget >= 0).all() and (fd.remain >= 0).all()
+        fd = fisher_diagonals(theta0, cfg, dataset, split)
+        assert (fd.forget >= 0).all() and (fd.remain >= 0).all()
 
 
 class TestSaliencyMask:
@@ -153,7 +150,7 @@ class TestFastSlow:
         dataset, split, cfg, theta0 = testbed
         ucfg = UnlearnConfig(method="sfr_on", alpha=1.0, beta_f=0.5, beta_r=0.1,
                              t_in=0, t_out=4, gamma=1.0, seed=9)
-        fd = fisher_diagonals(theta0, cfg, dataset, split, mode=ucfg.fisher_mode)
+        fd = fisher_diagonals(theta0, cfg, dataset, split)
         mask = saliency_mask(fd, ucfg.gamma)
         assert 0.0 < mask.mean() < 1.0
         ckpt = sfr_on(theta0, cfg, dataset, split, ucfg)
@@ -165,7 +162,7 @@ class TestFastSlow:
         dataset, split, cfg, theta0 = testbed
         ucfg = UnlearnConfig(method="sfr_on", alpha=1.0, beta_f=0.5, beta_r=0.1,
                              t_in=3, t_out=4, gamma=1.0, seed=9)
-        fd = fisher_diagonals(theta0, cfg, dataset, split, mode=ucfg.fisher_mode)
+        fd = fisher_diagonals(theta0, cfg, dataset, split)
         mask = saliency_mask(fd, ucfg.gamma)
         ckpt = sfr_on(theta0, cfg, dataset, split, ucfg)
         moved = ckpt.params - theta0
@@ -314,6 +311,9 @@ class TestDispatch:
     def test_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="beta_F"):
             UnlearnConfig.from_dict({"method": "sfr_on", "beta_F": 9.0})
+        # fisher_mode is not a key: the per-sample estimator is the only Fisher diagonal.
+        with pytest.raises(ValueError, match=r"unknown unlearn config keys \['fisher_mode'\]"):
+            UnlearnConfig.from_dict({"method": "sfr_on", "fisher_mode": "per_sample_mean"})
 
 
 # Property tests for the two invariants the fast-slow update relies on.
