@@ -146,7 +146,7 @@ def cmd_pretrain(args) -> int:
     dataset, dataset_path = resolve_dataset(config, out)
     split = build_split(config, dataset)
     split_path = os.path.join(out, "split.json")
-    save_split(split, split_path)
+    split.sha256 = save_split(split, split_path)
     model_cfg = ModelConfig.from_dict(config["model"])
     train_cfg = TrainConfig.from_dict(config["train"])
     theta0 = init_params(model_cfg)
@@ -154,7 +154,8 @@ def cmd_pretrain(args) -> int:
         theta0, train_cfg, model_cfg, dataset, split.train_idx, role="pretrain"
     )
     ckpt_dir = os.path.join(out, "pretrain")
-    _record_inputs(ckpt, ckpt_dir, dataset, dataset_path=dataset_path, split_path=split_path)
+    _record_inputs(ckpt, ckpt_dir, dataset, split,
+                   dataset_path=dataset_path, split_path=split_path)
     save_checkpoint(ckpt, ckpt_dir)
     _write_provenance(ckpt_dir, config, {"role": "pretrain"})
     print(ckpt_dir)

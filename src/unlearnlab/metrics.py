@@ -29,6 +29,10 @@ from .trainer import Checkpoint
 # entropy feature, zero init, 500 full-batch gradient steps at lr 0.1.
 MIA_GD_STEPS = 500
 MIA_GD_LR = 0.1
+# A constant pool's std() is rounding noise, not always 0.0: its mean can sit
+# a few ulps off the value. A pooled spread of at most this many machine
+# epsilons of the largest |entropy| counts as zero variance.
+MIA_ZERO_SPREAD_EPS = 64
 
 
 @dataclass
@@ -84,12 +88,8 @@ def accuracy(
 
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
-    return -np.sum(probs * log_clamped(probs), axis=1)
-
-
-def prediction_entropy(theta: np.ndarray, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
     """Label-agnostic entropy H_i = -sum_c p_ic ln p_ic, clamped at ``PROB_CLAMP``."""
-    return _entropy(softmax(forward_logits(theta, cfg, x)))
+    return -np.sum(probs * log_clamped(probs), axis=1)
 
 
 def _entropy_pool(values, name: str) -> np.ndarray:
@@ -140,7 +140,8 @@ def entropy_attack(
 
     Members (remain-set entropies) are labeled 1, non-members (test-set
     entropies) 0; the returned rate is the fraction of targets scored >= 0.5.
-    A zero-variance feature falls back to the majority label; the second
+    A zero-variance feature (a spread at rounding level, see
+    ``MIA_ZERO_SPREAD_EPS``) falls back to the majority label; the second
     return value flags that case. Each of the three inputs must be nonempty
     and finite, or ``ValueError`` names it.
     """
@@ -150,7 +151,7 @@ def entropy_attack(
     h_train = np.concatenate([member, nonmember])
     mu = h_train.mean()
     sigma = h_train.std()
-    if sigma == 0.0:
+    if sigma <= MIA_ZERO_SPREAD_EPS * np.finfo(np.float64).eps * np.abs(h_train).max():
         majority = 1.0 if len(member) >= len(nonmember) else 0.0
         return majority, True
     w, b = _fit_attacker((h_train - mu) / sigma, len(member))

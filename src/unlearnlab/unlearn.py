@@ -38,8 +38,10 @@ class UnlearnConfig:
     outer iteration counts, ``lambda_temp`` the coefficient temperature and
     ``gamma`` the saliency threshold. Baselines reuse the same fields:
     ``t_out`` counts their epochs (steps for ``joint``), ``beta_r`` is the
-    descent lr (ft/rl/salun/joint) and ``beta_f`` the ascent lr (ga).
-    ``alpha`` may be 0, which makes the fast-slow update the identity map.
+    descent lr and ``batch_r`` the batch size (ft/rl/salun/joint), and
+    ``beta_f`` the ascent lr and ``batch_f`` the batch size (ga, and joint's
+    forget batch). ``alpha`` may be 0, which makes the fast-slow update the
+    identity map.
     """
 
     method: str
@@ -183,7 +185,6 @@ def sfr_on(
     batches, then move the slow weights: theta <- theta - alpha*(theta -
     repaired). The Fisher diagonals and mask are computed once at ``theta0``.
     """
-    t0 = time.perf_counter()
     fd = fisher_diagonals(theta0, model_cfg, dataset, split)
     mask = saliency_mask(fd, ucfg.gamma)
     rng = np.random.default_rng(ucfg.seed)
@@ -207,17 +208,19 @@ def sfr_on(
         if not np.all(np.isfinite(theta)):
             raise RuntimeError(f"non-finite parameters at outer step {t}")
         fast_losses.append(float(losses.mean()))
-    wall = time.perf_counter() - t0
     provenance = {
-        "role": "unlearned",
-        "method": "sfr_on",
-        "seeds": {"unlearn": ucfg.seed, "model": model_cfg.seed},
-        "wall_seconds": wall,
-        "unlearn_config": ucfg.to_dict(),
         "forget_batch_loss": fast_losses,
         "mask_kept_fraction": float(mask.mean()),
     }
     return Checkpoint(theta, model_cfg, provenance)
+
+
+def _train_config(ucfg: UnlearnConfig) -> TrainConfig:
+    """The SGD run of ft, rl and salun: ``t_out`` epochs at lr ``beta_r``
+    over batches of ``batch_r``."""
+    return TrainConfig(
+        lr=ucfg.beta_r, epochs=ucfg.t_out, batch_size=ucfg.batch_r, seed=ucfg.seed
+    )
 
 
 def ft_unlearn(
@@ -225,22 +228,14 @@ def ft_unlearn(
     model_cfg: ModelConfig,
     dataset: Dataset,
     split: ForgetSplit,
-    epochs: int,
-    lr: float,
-    batch_size: int,
-    seed: int = 0,
+    ucfg: UnlearnConfig,
     on_batch=None,
 ) -> Checkpoint:
     """Fine-tune on the remain set only; the forget set is never read."""
-    if epochs == 0:
-        ckpt = Checkpoint(np.asarray(theta0, dtype=np.float64).copy(), model_cfg)
-    else:
-        cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-        ckpt = sgd_train(
-            theta0, cfg, model_cfg, dataset, split.remain_idx, on_batch=on_batch
-        )
-    ckpt.provenance.update({"role": "unlearned", "method": "ft"})
-    return ckpt
+    return sgd_train(
+        theta0, _train_config(ucfg), model_cfg, dataset, split.remain_idx,
+        on_batch=on_batch,
+    )
 
 
 def ga_unlearn(
@@ -248,41 +243,28 @@ def ga_unlearn(
     model_cfg: ModelConfig,
     dataset: Dataset,
     split: ForgetSplit,
-    epochs: int,
-    lr: float,
-    batch_size: int,
-    seed: int = 0,
+    ucfg: UnlearnConfig,
 ) -> Checkpoint:
-    """Gradient ascent on the forget set: theta <- theta + lr * grad per batch."""
+    """Gradient ascent on the forget set: theta <- theta + beta_f * grad per
+    batch of ``batch_f``, for ``t_out`` epochs."""
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ucfg.seed)
     step = 0
-    t0 = time.perf_counter()
-    for _ in range(epochs):
+    for _ in range(ucfg.t_out):
         perm = rng.permutation(split.forget_idx)
-        for start in range(0, len(perm), batch_size):
-            batch = perm[start : start + batch_size]
+        for start in range(0, len(perm), ucfg.batch_f):
+            batch = perm[start : start + ucfg.batch_f]
             loss, grad = loss_and_grad(
                 theta, model_cfg, dataset.features[batch], dataset.labels[batch]
             )
             if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
                 raise RuntimeError(f"non-finite loss at ascent step {step}")
-            theta += lr * grad
+            theta += ucfg.beta_f * grad
             step += 1
-    wall = time.perf_counter() - t0
-    provenance = {
-        "role": "unlearned",
-        "method": "ga",
-        "seeds": {"unlearn": seed, "model": model_cfg.seed},
-        "wall_seconds": wall,
-        "steps": step,
-    }
-    return Checkpoint(theta, model_cfg, provenance)
+    return Checkpoint(theta, model_cfg, {"steps": step})
 
 
-def relabel_forget(
-    dataset: Dataset, split: ForgetSplit, seed: int
-) -> tuple[Dataset, np.ndarray]:
+def relabel_forget(dataset: Dataset, split: ForgetSplit, seed: int) -> Dataset:
     """Replace forget-set labels with seeded random labels != the original."""
     if dataset.class_count < 2:
         raise ValueError("relabeling needs at least two classes")
@@ -291,8 +273,7 @@ def relabel_forget(
     old = dataset.labels[split.forget_idx]
     offsets = rng.integers(1, dataset.class_count, size=len(old))
     new_labels[split.forget_idx] = (old + offsets) % dataset.class_count
-    relabeled = Dataset(dataset.features, new_labels, dataset.class_count)
-    return relabeled, new_labels[split.forget_idx]
+    return Dataset(dataset.features, new_labels, dataset.class_count)
 
 
 def rl_unlearn(
@@ -300,20 +281,15 @@ def rl_unlearn(
     model_cfg: ModelConfig,
     dataset: Dataset,
     split: ForgetSplit,
-    epochs: int,
-    lr: float,
-    batch_size: int,
-    seed: int = 0,
+    ucfg: UnlearnConfig,
     grad_mask: np.ndarray | None = None,
 ) -> Checkpoint:
     """Relabel the forget set once, then fine-tune on forget + remain."""
-    relabeled, _ = relabel_forget(dataset, split, seed)
-    cfg = TrainConfig(lr=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-    ckpt = sgd_train(
-        theta0, cfg, model_cfg, relabeled, split.train_idx, grad_mask=grad_mask
+    relabeled = relabel_forget(dataset, split, ucfg.seed)
+    return sgd_train(
+        theta0, _train_config(ucfg), model_cfg, relabeled, split.train_idx,
+        grad_mask=grad_mask,
     )
-    ckpt.provenance.update({"role": "unlearned", "method": "rl"})
-    return ckpt
 
 
 def salun_mask(
@@ -342,21 +318,13 @@ def salun_unlearn(
     model_cfg: ModelConfig,
     dataset: Dataset,
     split: ForgetSplit,
-    epochs: int,
-    lr: float,
-    batch_size: int,
-    seed: int = 0,
-    top_k_percent: float = 20.0,
+    ucfg: UnlearnConfig,
 ) -> Checkpoint:
-    """Relabeling fine-tune restricted to the top-k% forget-salient weights."""
-    mask = salun_mask(theta0, model_cfg, dataset, split, top_k_percent)
-    ckpt = rl_unlearn(
-        theta0, model_cfg, dataset, split, epochs, lr, batch_size, seed,
-        grad_mask=mask,
-    )
-    ckpt.provenance.update(
-        {"method": "salun", "mask_kept_fraction": float(mask.mean())}
-    )
+    """Relabeling fine-tune restricted to the top ``salun_top_k``% of
+    forget-salient weights."""
+    mask = salun_mask(theta0, model_cfg, dataset, split, ucfg.salun_top_k)
+    ckpt = rl_unlearn(theta0, model_cfg, dataset, split, ucfg, grad_mask=mask)
+    ckpt.provenance["mask_kept_fraction"] = float(mask.mean())
     return ckpt
 
 
@@ -365,45 +333,29 @@ def joint_unlearn(
     model_cfg: ModelConfig,
     dataset: Dataset,
     split: ForgetSplit,
-    steps: int,
-    lr: float,
-    batch_f: int,
-    batch_r: int,
-    seed: int = 0,
-    remain_weight: float = 1.0,
+    ucfg: UnlearnConfig,
 ) -> Checkpoint:
-    """Single-loop ascent/descent: theta <- theta - lr*(-grad_f + grad_r).
+    """Single-loop ascent/descent for ``t_out`` steps:
+    theta <- theta - beta_r*(-grad_f + grad_r).
 
     The one-step ablation of the fast-slow scheme; it lacks the curvature
-    adjustment that the inner repair loop provides. ``remain_weight`` scales
-    the remain-batch loss (0 reduces the update to pure gradient ascent).
+    adjustment that the inner repair loop provides.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    rng = np.random.default_rng(seed)
-    t0 = time.perf_counter()
-    for step in range(steps):
-        fbatch = _sample_batch(rng, split.forget_idx, batch_f)
-        rbatch = _sample_batch(rng, split.remain_idx, batch_r)
+    rng = np.random.default_rng(ucfg.seed)
+    for step in range(ucfg.t_out):
+        fbatch = _sample_batch(rng, split.forget_idx, ucfg.batch_f)
+        rbatch = _sample_batch(rng, split.remain_idx, ucfg.batch_r)
         _, grad_f = loss_and_grad(
             theta, model_cfg, dataset.features[fbatch], dataset.labels[fbatch]
         )
-        weights = np.full(len(rbatch), remain_weight, dtype=np.float64)
         _, grad_r = loss_and_grad(
-            theta, model_cfg, dataset.features[rbatch], dataset.labels[rbatch],
-            weights=weights,
+            theta, model_cfg, dataset.features[rbatch], dataset.labels[rbatch]
         )
-        theta = theta - lr * (-grad_f + grad_r)
+        theta = theta - ucfg.beta_r * (-grad_f + grad_r)
         if not np.all(np.isfinite(theta)):
             raise RuntimeError(f"non-finite parameters at joint step {step}")
-    wall = time.perf_counter() - t0
-    provenance = {
-        "role": "unlearned",
-        "method": "joint",
-        "seeds": {"unlearn": seed, "model": model_cfg.seed},
-        "wall_seconds": wall,
-        "steps": steps,
-    }
-    return Checkpoint(theta, model_cfg, provenance)
+    return Checkpoint(theta, model_cfg, {"steps": ucfg.t_out})
 
 
 def run_unlearning(
@@ -413,38 +365,27 @@ def run_unlearning(
     split: ForgetSplit,
     ucfg: UnlearnConfig,
 ) -> Checkpoint:
-    """Dispatch a method by config; see ``UnlearnConfig`` for the field reuse."""
-    if ucfg.method == "sfr_on":
-        ckpt = sfr_on(theta0, model_cfg, dataset, split, ucfg)
-    elif ucfg.method == "ft":
-        ckpt = ft_unlearn(
-            theta0, model_cfg, dataset, split,
-            epochs=ucfg.t_out, lr=ucfg.beta_r, batch_size=ucfg.batch_r,
-            seed=ucfg.seed,
-        )
-    elif ucfg.method == "ga":
-        ckpt = ga_unlearn(
-            theta0, model_cfg, dataset, split,
-            epochs=ucfg.t_out, lr=ucfg.beta_f, batch_size=ucfg.batch_f,
-            seed=ucfg.seed,
-        )
-    elif ucfg.method == "rl":
-        ckpt = rl_unlearn(
-            theta0, model_cfg, dataset, split,
-            epochs=ucfg.t_out, lr=ucfg.beta_r, batch_size=ucfg.batch_r,
-            seed=ucfg.seed,
-        )
-    elif ucfg.method == "salun":
-        ckpt = salun_unlearn(
-            theta0, model_cfg, dataset, split,
-            epochs=ucfg.t_out, lr=ucfg.beta_r, batch_size=ucfg.batch_r,
-            seed=ucfg.seed, top_k_percent=ucfg.salun_top_k,
-        )
-    else:
-        ckpt = joint_unlearn(
-            theta0, model_cfg, dataset, split,
-            steps=ucfg.t_out, lr=ucfg.beta_r, batch_f=ucfg.batch_f,
-            batch_r=ucfg.batch_r, seed=ucfg.seed,
-        )
-    ckpt.provenance.setdefault("unlearn_config", ucfg.to_dict())
+    """Run ``ucfg.method`` and stamp its checkpoint's provenance: ``role``,
+    ``method``, ``unlearn_config``, the seeds (unless the method recorded
+    its own) and ``wall_seconds`` around the whole call, which reports show
+    as the run-time efficiency (RTE)."""
+    # Looked up on every call: perfbench's tracer replaces module attributes,
+    # which a table built at import time would not see.
+    run = {
+        "sfr_on": sfr_on,
+        "ft": ft_unlearn,
+        "ga": ga_unlearn,
+        "rl": rl_unlearn,
+        "salun": salun_unlearn,
+        "joint": joint_unlearn,
+    }[ucfg.method]
+    t0 = time.perf_counter()
+    ckpt = run(theta0, model_cfg, dataset, split, ucfg)
+    ckpt.provenance.update(
+        wall_seconds=time.perf_counter() - t0,
+        role="unlearned",
+        method=ucfg.method,
+        unlearn_config=ucfg.to_dict(),
+    )
+    ckpt.provenance.setdefault("seeds", {"unlearn": ucfg.seed, "model": model_cfg.seed})
     return ckpt

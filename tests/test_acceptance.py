@@ -7,11 +7,13 @@ training-seed trials on a fixed blobs dataset.
 """
 
 import json
+import os
 import time
 
 import numpy as np
 import pytest
 
+from unlearnlab.cli import build_split, load_config
 from unlearnlab.cli import main as cli_main
 from unlearnlab.data import generate_blobs, make_random_subset_split
 from unlearnlab.metrics import (
@@ -45,6 +47,9 @@ from unlearnlab.verify import (
 
 BASELINES = ("ft", "ga", "rl", "salun", "joint")
 TRIALS = 5
+BENCHMARK_CONFIG = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "blobs_benchmark.json"
+)
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -54,21 +59,24 @@ def _report(name: str, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def desk_study():
-    """Five-trial unlearning study on the fixed blobs benchmark."""
+    """Five-trial unlearning study on the fixed blobs benchmark, as
+    ``configs/blobs_benchmark.json`` defines it. Trial ``s`` adds ``s`` to the
+    config's model, training and unlearning seeds; the two retrain references
+    train with seeds 300 + s and 500 + s, which the config does not hold."""
     t0 = time.perf_counter()
-    dataset = generate_blobs(seed=11, n_per_class=625, class_count=4, dim=8, spread=0.75)
-    split = make_random_subset_split(dataset, fraction=0.1, test_fraction=0.2, seed=2000)
+    config = load_config(BENCHMARK_CONFIG)
+    dataset = generate_blobs(**{k: v for k, v in config["dataset"].items() if k != "kind"})
+    split = build_split(config, dataset)
     assert len(split.forget_idx) + len(split.remain_idx) == 2000
     assert len(split.test_idx) == 500
     trials = []
     for s in range(TRIALS):
-        model_cfg = ModelConfig(layer_sizes=(8, 32, 32, 4), init_scale=1.0, seed=100 + s)
-        train = lambda seed: TrainConfig(
-            lr=0.15, epochs=150, batch_size=64, schedule="cosine", momentum=0.9, seed=seed
-        )
+        model_seed = config["model"]["seed"] + s
+        model_cfg = ModelConfig.from_dict({**config["model"], "seed": model_seed})
+        train = lambda seed: TrainConfig.from_dict({**config["train"], "seed": seed})
         pre = sgd_train(
-            init_params(model_cfg), train(200 + s), model_cfg, dataset, split.train_idx,
-            role="pretrain",
+            init_params(model_cfg), train(config["train"]["seed"] + s), model_cfg, dataset,
+            split.train_idx, role="pretrain",
         )
         rt = retrain_oracle(model_cfg, train(300 + s), dataset, split)
         rt_alt = retrain_oracle(model_cfg, train(500 + s), dataset, split)
@@ -77,30 +85,13 @@ def desk_study():
             "pre_fa": accuracy(pre.params, model_cfg, dataset, split.forget_idx),
             "pre_ra": accuracy(pre.params, model_cfg, dataset, split.remain_idx),
         }
-        configs = {
-            "sfr_on": UnlearnConfig(
-                method="sfr_on", alpha=1.0, beta_f=0.8, beta_r=0.05, t_in=12,
-                t_out=250, lambda_temp=0.18, gamma=1.0, batch_f=128, batch_r=256,
-                seed=400 + s,
-            ),
-            "ft": UnlearnConfig(method="ft", beta_r=0.02, t_out=5, batch_r=64, seed=400 + s),
-            "ga": UnlearnConfig(method="ga", beta_f=0.1, t_out=8, batch_f=64, seed=400 + s),
-            "rl": UnlearnConfig(method="rl", beta_r=0.01, t_out=5, batch_r=64, seed=400 + s),
-            "salun": UnlearnConfig(
-                method="salun", beta_r=0.01, t_out=5, batch_r=64, seed=400 + s,
-                salun_top_k=50.0,
-            ),
-            "joint": UnlearnConfig(
-                method="joint", beta_r=0.01, t_out=300, batch_f=64, batch_r=64,
-                seed=400 + s,
-            ),
-        }
-        for name, ucfg in configs.items():
+        for method, table in config["unlearn"].items():
+            ucfg = UnlearnConfig.from_dict({**table, "method": method, "seed": table["seed"] + s})
             ckpt = run_unlearning(pre.params, model_cfg, dataset, split, ucfg)
             rep = full_report(ckpt, rt, dataset, split,
-                              rte_seconds=ckpt.provenance.get("wall_seconds", 0.0))
-            trial[name] = {"kl": rep.kl_to_ref, "avg_d": rep.avg_d,
-                           "fa": rep.fa, "ra": rep.ra}
+                              rte_seconds=ckpt.provenance["wall_seconds"])
+            trial[method] = {"kl": rep.kl_to_ref, "avg_d": rep.avg_d,
+                             "fa": rep.fa, "ra": rep.ra}
         trials.append(trial)
     return {"trials": trials, "wall_seconds": time.perf_counter() - t0}
 

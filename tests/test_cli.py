@@ -248,20 +248,27 @@ def test_eval_refuses_a_checkpoint_built_on_another_split(tmp_path, capsys):
                          ("b/retrain", digest_b)):
         prov = json.loads((out / ckpt / "manifest.json").read_text())["provenance"]
         assert prov["split_sha256"] == digest
-    assert "split_sha256" not in json.loads(
-        (out / "pretrain" / "manifest.json").read_text())["provenance"]
+    assert json.loads(
+        (out / "pretrain" / "manifest.json").read_text())["provenance"]["split_sha256"] == digest_a
     capsys.readouterr()
-    # The model, then the reference, was built on the other split.
-    for reference, split, offender, recorded, given in (
-            ("retrain", split_b, "unlearn_sfr_on", digest_a, digest_b),
-            ("b/retrain", split_a, "b/retrain", digest_b, digest_a)):
-        assert main(["eval", "--model", str(out / "unlearn_sfr_on"),
+    # The model (an unlearned one, then the pretrained one), then the
+    # reference, was built on the other split.
+    for model, reference, split, offender, recorded, given in (
+            ("unlearn_sfr_on", "retrain", split_b, "unlearn_sfr_on", digest_a, digest_b),
+            ("pretrain", "b/retrain", split_b, "pretrain", digest_a, digest_b),
+            ("unlearn_sfr_on", "b/retrain", split_a, "b/retrain", digest_b, digest_a)):
+        assert main(["eval", "--model", str(out / model),
                      "--reference", str(out / reference), "--split", str(split),
                      "--out", str(out / "mixed.json")]) == 1
         assert capsys.readouterr().err == (
             f"error: {out / offender} records split sha256 {recorded}, but {split} "
             f"has sha256 {given}\n")
     assert not (out / "mixed.json").exists()
+    # unlearn does not check the pretrained checkpoint's split: one pretrain
+    # serves the forget requests of many splits.
+    assert main(["unlearn", "--config", str(tmp_path / "config_resplit.json"), "--method", "ft",
+                 "--pretrained", str(out / "pretrain"), "--split", str(split_b),
+                 "--out", str(out / "b")]) == 0
 
 
 def test_checkpoint_without_a_digest_is_evaluated(tmp_path):

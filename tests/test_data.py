@@ -319,10 +319,17 @@ class TestSplitRoundTrip:
 
     def test_index_past_last_row_rejected(self, tmp_path):
         p = tmp_path / "past.json"
-        p.write_text('{"forget_idx": [0], "remain_idx": [1], "test_idx": [3], "mode": {}}')
+        p.write_text('{"forget_idx": [0], "remain_idx": [1, 2], "test_idx": [3], "mode": {}}')
         assert len(load_split(str(p), n_rows=4).test_idx) == 1
         with pytest.raises(ValueError, match="index 3 is past the last row"):
             load_split(str(p), n_rows=3)
+
+    def test_split_that_leaves_rows_out_rejected(self, tmp_path):
+        p = tmp_path / "short.json"
+        p.write_text('{"forget_idx": [0], "remain_idx": [1], "test_idx": [3], "mode": {}}')
+        assert len(load_split(str(p)).test_idx) == 1
+        with pytest.raises(ValueError, match="covers 3 of the dataset's 4 rows"):
+            load_split(str(p), n_rows=4)
 
 
 def test_dataset_label_validation():

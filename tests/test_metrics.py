@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unlearnlab import metrics
+from unlearnlab.autodiff import softmax
 from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_subset_split
 from unlearnlab.metrics import (
     MetricsReport,
@@ -16,9 +17,15 @@ from unlearnlab.metrics import (
     empirical_kl,
     entropy_attack,
     full_report,
-    prediction_entropy,
 )
-from unlearnlab.model import ModelConfig, flatten, init_params, param_count, predict_labels
+from unlearnlab.model import (
+    ModelConfig,
+    flatten,
+    forward_logits,
+    init_params,
+    param_count,
+    predict_labels,
+)
 from unlearnlab.trainer import Checkpoint
 
 
@@ -69,19 +76,20 @@ class TestAccuracy:
 class TestPredictionEntropy:
     def test_uniform(self):
         ckpt = _identity_checkpoint(0.0)
-        h = prediction_entropy(ckpt.params, ckpt.model_config, np.ones((2, 4)))
+        probs = softmax(forward_logits(ckpt.params, ckpt.model_config, np.ones((2, 4))))
+        h = metrics._entropy(probs)
         assert h == pytest.approx([np.log(4)] * 2, abs=1e-12)
 
     def test_one_hot_limit(self):
         ckpt = _identity_checkpoint(100.0)
-        h = prediction_entropy(ckpt.params, ckpt.model_config, np.eye(4))
+        h = metrics._entropy(softmax(forward_logits(ckpt.params, ckpt.model_config, np.eye(4))))
         assert np.abs(h).max() <= 1e-10
 
     def test_bounds(self):
         rng = np.random.default_rng(1)
         cfg = ModelConfig(layer_sizes=(3, 5, 6), seed=2)
         theta = init_params(cfg) + rng.standard_normal(param_count(cfg))
-        h = prediction_entropy(theta, cfg, rng.standard_normal((50, 3)))
+        h = metrics._entropy(softmax(forward_logits(theta, cfg, rng.standard_normal((50, 3)))))
         assert (h >= 0).all() and (h <= np.log(6) + 1e-12).all()
 
 
@@ -115,6 +123,11 @@ class TestEntropyAttack:
         rate, fallback = entropy_attack(np.full(3, 0.5), np.full(9, 0.5), np.full(7, 0.5))
         assert fallback and rate == 0.0
 
+    def test_constant_pools_with_a_rounding_level_spread_fall_back(self):
+        member, nonmember = np.full(40, 0.06316241), np.full(3, 0.06316241)
+        assert np.concatenate([member, nonmember]).std() > 0.0
+        assert entropy_attack(member, nonmember, member) == (1.0, True)
+
     def test_monotone_under_entropy_shifts(self):
         # Lowering every forget entropy below the member mean cannot reduce
         # the attack's true-positive rate.
@@ -135,7 +148,7 @@ def _oracle_attack(member, nonmember, target):
     y = np.concatenate([np.ones(len(member)), np.zeros(len(nonmember))])
     mu = h_train.mean()
     sigma = h_train.std()
-    if sigma == 0.0:
+    if sigma <= metrics.MIA_ZERO_SPREAD_EPS * np.finfo(np.float64).eps * np.abs(h_train).max():
         return (1.0 if len(member) >= len(nonmember) else 0.0), True, 0.0, 0.0
     z = (h_train - mu) / sigma
     w = 0.0
@@ -313,9 +326,9 @@ class TestFullReport:
         ckpt = Checkpoint(init_params(cfg), cfg)
         report = full_report(ckpt, ckpt, dataset, split)
         assert 0.0 <= report.mia <= 1.0
-        h = {name: prediction_entropy(ckpt.params, cfg, dataset.features[idx])
-             for name, idx in (("remain", split.remain_idx), ("test", split.test_idx),
-                               ("forget", split.forget_idx))}
+        h = {name: metrics._entropy(softmax(forward_logits(ckpt.params, cfg, dataset.features[i])))
+             for name, i in (("remain", split.remain_idx), ("test", split.test_idx),
+                             ("forget", split.forget_idx))}
         rate, fallback = entropy_attack(h["remain"], h["test"], h["forget"])
         assert report.mia == rate
         assert report.provenance["mia_fallback"] == {"model": fallback, "reference": fallback}

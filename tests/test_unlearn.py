@@ -1,11 +1,15 @@
 """Unlearning methods: coefficients, masks, fast-slow updates, baselines."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from unlearnlab import unlearn
 from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_subset_split
 from unlearnlab.metrics import accuracy
 from unlearnlab.model import (
@@ -26,6 +30,7 @@ from unlearnlab.unlearn import (
     relabel_forget,
     rl_unlearn,
     run_unlearning,
+    salun_mask,
     salun_unlearn,
     saliency_mask,
     sfr_on,
@@ -184,15 +189,11 @@ class TestFastSlow:
 
 
 class TestBaselines:
-    def test_ft_zero_epochs_identity(self, testbed):
-        dataset, split, cfg, theta0 = testbed
-        ckpt = ft_unlearn(theta0, cfg, dataset, split, epochs=0, lr=0.1, batch_size=16)
-        assert np.array_equal(ckpt.params, theta0)
-
     def test_ft_never_touches_forget(self, testbed):
         dataset, split, cfg, theta0 = testbed
         touched = []
-        ft_unlearn(theta0, cfg, dataset, split, epochs=2, lr=0.05, batch_size=16,
+        ucfg = UnlearnConfig(method="ft", beta_r=0.05, t_out=2, batch_r=16)
+        ft_unlearn(theta0, cfg, dataset, split, ucfg,
                    on_batch=lambda b: touched.extend(int(i) for i in b))
         assert not set(touched) & set(int(i) for i in split.forget_idx)
 
@@ -200,8 +201,8 @@ class TestBaselines:
         dataset = generate_blobs(seed=41, n_per_class=40, class_count=3, dim=4, spread=0.5)
         split = make_random_subset_split(dataset, fraction=0.2, test_fraction=0.1, seed=1)
         cfg = ModelConfig(layer_sizes=(4, 3), seed=0)
-        ckpt = ft_unlearn(init_params(cfg), cfg, dataset, split, epochs=15, lr=0.2,
-                          batch_size=10_000)
+        ucfg = UnlearnConfig(method="ft", beta_r=0.2, t_out=15, batch_r=10_000)
+        ckpt = ft_unlearn(init_params(cfg), cfg, dataset, split, ucfg)
         assert np.all(np.diff(ckpt.provenance["epoch_mean_loss"]) <= 1e-9)
 
     def test_ga_increases_forget_loss(self):
@@ -215,24 +216,24 @@ class TestBaselines:
         fx = dataset.features[split.forget_idx]
         fy = dataset.labels[split.forget_idx]
         before = per_sample_losses(half_trained, cfg, fx, fy).mean()
-        ckpt = ga_unlearn(half_trained, cfg, dataset, split, epochs=2, lr=0.05,
-                          batch_size=len(split.forget_idx))
+        ucfg = UnlearnConfig(method="ga", beta_f=0.05, t_out=2, batch_f=len(split.forget_idx))
+        ckpt = ga_unlearn(half_trained, cfg, dataset, split, ucfg)
         after = per_sample_losses(ckpt.params, cfg, fx, fy).mean()
         assert after > before
 
     def test_ga_zero_epochs_and_zero_lr(self, testbed):
         dataset, split, cfg, theta0 = testbed
-        assert np.array_equal(
-            ga_unlearn(theta0, cfg, dataset, split, epochs=0, lr=0.1, batch_size=8).params, theta0
-        )
-        assert np.array_equal(
-            ga_unlearn(theta0, cfg, dataset, split, epochs=3, lr=0.0, batch_size=8).params, theta0
-        )
+        # Zero epochs cannot reach a method: the config rejects them.
+        with pytest.raises(ValueError, match="t_out must be >= 1"):
+            UnlearnConfig(method="ga", t_out=0)
+        ucfg = UnlearnConfig(method="ga", beta_f=0.0, t_out=3, batch_f=8)
+        assert np.array_equal(ga_unlearn(theta0, cfg, dataset, split, ucfg).params, theta0)
 
     def test_relabel_never_keeps_original(self, testbed):
         dataset, split, cfg, _ = testbed
         for seed in range(5):
-            relabeled, new = relabel_forget(dataset, split, seed)
+            relabeled = relabel_forget(dataset, split, seed)
+            new = relabeled.labels[split.forget_idx]
             assert not np.any(new == dataset.labels[split.forget_idx])
             assert np.array_equal(
                 relabeled.labels[split.remain_idx], dataset.labels[split.remain_idx]
@@ -240,9 +241,9 @@ class TestBaselines:
 
     def test_relabel_deterministic(self, testbed):
         dataset, split, _, _ = testbed
-        _, a = relabel_forget(dataset, split, 3)
-        _, b = relabel_forget(dataset, split, 3)
-        assert np.array_equal(a, b)
+        a = relabel_forget(dataset, split, 3)
+        b = relabel_forget(dataset, split, 3)
+        assert np.array_equal(a.labels, b.labels)
 
     def test_relabel_needs_two_classes(self):
         dataset = Dataset(np.zeros((4, 1)), np.zeros(4, dtype=int), class_count=1)
@@ -253,40 +254,33 @@ class TestBaselines:
     def test_rl_drops_forget_accuracy(self, testbed):
         dataset, split, cfg, theta0 = testbed
         fa_before = accuracy(theta0, cfg, dataset, split.forget_idx)
-        ckpt = rl_unlearn(theta0, cfg, dataset, split, epochs=8, lr=0.05, batch_size=32, seed=0)
+        ucfg = UnlearnConfig(method="rl", beta_r=0.05, t_out=8, batch_r=32, seed=0)
+        ckpt = rl_unlearn(theta0, cfg, dataset, split, ucfg)
         assert accuracy(ckpt.params, cfg, dataset, split.forget_idx) < fa_before
 
     def test_salun_full_mask_equals_rl(self, testbed):
         dataset, split, cfg, theta0 = testbed
-        a = salun_unlearn(theta0, cfg, dataset, split, epochs=3, lr=0.05, batch_size=32,
-                          seed=4, top_k_percent=100.0)
-        b = rl_unlearn(theta0, cfg, dataset, split, epochs=3, lr=0.05, batch_size=32, seed=4)
+        ucfg = UnlearnConfig(method="salun", beta_r=0.05, t_out=3, batch_r=32, seed=4,
+                             salun_top_k=100.0)
+        a = salun_unlearn(theta0, cfg, dataset, split, ucfg)
+        b = rl_unlearn(theta0, cfg, dataset, split, replace(ucfg, method="rl"))
         assert np.array_equal(a.params, b.params)
 
     def test_salun_frozen_coordinates_never_change(self, testbed):
         dataset, split, cfg, theta0 = testbed
-        from unlearnlab.unlearn import salun_mask
-
         mask = salun_mask(theta0, cfg, dataset, split, top_k_percent=30.0)
-        ckpt = salun_unlearn(theta0, cfg, dataset, split, epochs=4, lr=0.05, batch_size=32,
-                             seed=4, top_k_percent=30.0)
+        ucfg = UnlearnConfig(method="salun", beta_r=0.05, t_out=4, batch_r=32, seed=4,
+                             salun_top_k=30.0)
+        ckpt = salun_unlearn(theta0, cfg, dataset, split, ucfg)
         frozen = mask == 0.0
         assert np.array_equal(ckpt.params[frozen], theta0[frozen])
         assert not np.array_equal(ckpt.params[~frozen], theta0[~frozen])
 
     def test_joint_zero_lr_identity(self, testbed):
         dataset, split, cfg, theta0 = testbed
-        ckpt = joint_unlearn(theta0, cfg, dataset, split, steps=5, lr=0.0,
-                             batch_f=8, batch_r=8)
+        ucfg = UnlearnConfig(method="joint", beta_r=0.0, t_out=5, batch_f=8, batch_r=8)
+        ckpt = joint_unlearn(theta0, cfg, dataset, split, ucfg)
         assert np.array_equal(ckpt.params, theta0)
-
-    def test_joint_with_zero_remain_weight_matches_ga(self, testbed):
-        dataset, split, cfg, theta0 = testbed
-        n_f = len(split.forget_idx)
-        joint = joint_unlearn(theta0, cfg, dataset, split, steps=3, lr=0.05,
-                              batch_f=n_f, batch_r=4, seed=2, remain_weight=0.0)
-        ga = ga_unlearn(theta0, cfg, dataset, split, epochs=3, lr=0.05, batch_size=n_f, seed=2)
-        assert np.allclose(joint.params, ga.params, atol=1e-9)
 
 
 class TestDispatch:
@@ -298,7 +292,28 @@ class TestDispatch:
         a = run_unlearning(theta0, cfg, dataset, split, ucfg)
         b = run_unlearning(theta0, cfg, dataset, split, ucfg)
         assert np.array_equal(a.params, b.params)
+        # run_unlearning stamps every method's checkpoint the same way; the
+        # training-loop baselines keep the seeds ``sgd_train`` records.
         assert a.provenance["method"] == method
+        assert a.provenance["role"] == "unlearned"
+        assert a.provenance["unlearn_config"] == ucfg.to_dict()
+        assert a.provenance["wall_seconds"] > 0.0
+        seed_key = "train" if method in ("ft", "rl", "salun") else "unlearn"
+        assert a.provenance["seeds"] == {seed_key: 5, "model": cfg.seed}
+
+    def test_wall_seconds_covers_the_whole_method(self, testbed, monkeypatch):
+        # salun's mask is part of its run time, so a slow mask shows in it.
+        dataset, split, cfg, theta0 = testbed
+        original = unlearn.salun_mask
+
+        def slow(*args):
+            time.sleep(0.05)
+            return original(*args)
+
+        monkeypatch.setattr(unlearn, "salun_mask", slow)
+        ucfg = UnlearnConfig(method="salun", beta_r=0.02, t_out=1, batch_r=16)
+        ckpt = run_unlearning(theta0, cfg, dataset, split, ucfg)
+        assert ckpt.provenance["wall_seconds"] >= 0.05
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
