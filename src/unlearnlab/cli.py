@@ -1,8 +1,9 @@
 """Config-driven experiment runner.
 
-Verbs: pretrain | retrain | unlearn | eval | verify | report. Every output
-directory gets a ``provenance.json`` carrying the full config, seeds, and
-library version, so any artifact can be reproduced from its directory alone.
+Verbs: pretrain | retrain | unlearn | eval | verify | report. The
+``manifest.json`` of each checkpoint a verb saves records its configs, seeds,
+inputs (paths and SHA-256 digests) and library version, so the checkpoint can
+be reproduced from its directory alone.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_provenance(directory: str, config: dict, extra: dict | None = None) -> None:
-    payload = {"library_version": __version__, "config": config}
-    if extra:
-        payload.update(extra)
-    _write_json(os.path.join(directory, "provenance.json"), payload)
-
-
 def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     """Load or materialize the configured dataset; returns it with its path.
 
@@ -65,8 +59,10 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     spec differs from the config's is an error, not a silent reuse.
     """
     spec = config["dataset"]
-    if spec.get("kind") == "csv":
+    if spec["kind"] == "csv":
         return load_csv_dataset(spec["path"], spec.get("class_count")), spec["path"]
+    if spec["kind"] != "blobs":
+        raise ValueError(f"unknown dataset kind {spec['kind']!r}")
     materialized = os.path.join(out_dir, "dataset.csv")
     spec_path = os.path.join(out_dir, "dataset.spec.json")
     if os.path.exists(materialized):
@@ -92,16 +88,19 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     return dataset, materialized
 
 
-def _record_inputs(ckpt, ckpt_dir: str, dataset: Dataset, split=None, **paths: str) -> None:
-    """Record each input path (``dataset_path``, ``split_path``,
+def _save(ckpt, ckpt_dir: str, dataset: Dataset, split, **paths: str) -> None:
+    """Save ``ckpt`` to ``ckpt_dir`` and print the directory. Its provenance
+    first records each input path (``dataset_path``, ``split_path``,
     ``pretrained_path``) relative to the checkpoint directory, where ``eval``
-    resolves the dataset, the SHA-256 of the dataset's CSV bytes and, given
-    a split read from a file, the SHA-256 of that file's bytes."""
+    resolves the dataset; the SHA-256 of the dataset's CSV bytes and of the
+    split file's bytes; the dataset's ``class_count``, which rl and salun
+    relabel with; and the library version."""
     for key, path in paths.items():
         ckpt.provenance[key] = os.path.relpath(path, ckpt_dir)
-    ckpt.provenance["dataset_sha256"] = dataset.sha256
-    if split is not None:
-        ckpt.provenance["split_sha256"] = split.sha256
+    ckpt.provenance.update(dataset_sha256=dataset.sha256, split_sha256=split.sha256,
+                           class_count=dataset.class_count, library_version=__version__)
+    save_checkpoint(ckpt, ckpt_dir)
+    print(ckpt_dir)
 
 
 def _check_digest(ckpt, ckpt_dir: str, what: str, sha256: str, path: str) -> None:
@@ -153,12 +152,8 @@ def cmd_pretrain(args) -> int:
     ckpt = sgd_train(
         theta0, train_cfg, model_cfg, dataset, split.train_idx, role="pretrain"
     )
-    ckpt_dir = os.path.join(out, "pretrain")
-    _record_inputs(ckpt, ckpt_dir, dataset, split,
-                   dataset_path=dataset_path, split_path=split_path)
-    save_checkpoint(ckpt, ckpt_dir)
-    _write_provenance(ckpt_dir, config, {"role": "pretrain"})
-    print(ckpt_dir)
+    _save(ckpt, os.path.join(out, "pretrain"), dataset, split,
+          dataset_path=dataset_path, split_path=split_path)
     return 0
 
 
@@ -172,34 +167,27 @@ def cmd_retrain(args) -> int:
     model_cfg = ModelConfig.from_dict(config["model"])
     train_cfg = TrainConfig.from_dict(config["train"])
     ckpt = retrain_oracle(model_cfg, train_cfg, dataset, split)
-    ckpt_dir = os.path.join(out, "retrain")
-    _record_inputs(ckpt, ckpt_dir, dataset, split,
-                   dataset_path=dataset_path, split_path=args.split)
-    save_checkpoint(ckpt, ckpt_dir)
-    _write_provenance(ckpt_dir, config, {"role": "retrain"})
-    print(ckpt_dir)
+    _save(ckpt, os.path.join(out, "retrain"), dataset, split,
+          dataset_path=dataset_path, split_path=args.split)
     return 0
 
 
 def cmd_unlearn(args) -> int:
     config = load_config(args.config)
+    method_cfg = dict(config["unlearn"][args.method])
+    method_cfg["method"] = args.method
+    ucfg = UnlearnConfig.from_dict(method_cfg)
     out = _out_dir(config, args.out)
     dataset, dataset_path = resolve_dataset(config, out)
     split = load_split(args.split, len(dataset))
     pretrained = load_checkpoint(args.pretrained)
     _check_digest(pretrained, args.pretrained, "dataset", dataset.sha256, dataset_path)
-    method_cfg = dict(config["unlearn"][args.method])
-    method_cfg["method"] = args.method
-    ucfg = UnlearnConfig.from_dict(method_cfg)
     ckpt = run_unlearning(
         pretrained.params, pretrained.model_config, dataset, split, ucfg
     )
-    ckpt_dir = os.path.join(out, f"unlearn_{args.method}")
-    _record_inputs(ckpt, ckpt_dir, dataset, split, dataset_path=dataset_path,
-                   split_path=args.split, pretrained_path=args.pretrained)
-    save_checkpoint(ckpt, ckpt_dir)
-    _write_provenance(ckpt_dir, config, {"role": "unlearned", "method": args.method})
-    print(ckpt_dir)
+    _save(ckpt, os.path.join(out, f"unlearn_{args.method}"), dataset, split,
+          dataset_path=dataset_path, split_path=args.split,
+          pretrained_path=args.pretrained)
     return 0
 
 
@@ -223,9 +211,7 @@ def cmd_eval(args) -> int:
         _check_digest(ckpt, ckpt_dir, "split", split.sha256, args.split)
     rte = float(ckpt_u.provenance.get("wall_seconds", 0.0))
     report = full_report(ckpt_u, ckpt_ref, dataset, split, rte_seconds=rte)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
+    _write_json(args.out, report.to_dict())
     print(MARKDOWN_HEADER)
     print(report.markdown_row())
     return 0

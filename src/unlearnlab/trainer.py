@@ -1,7 +1,7 @@
 """Minibatch SGD training, the retrain reference, and checkpoint storage.
 
-Checkpoints are directories: ``manifest.json`` (schema, model config,
-provenance) next to ``params.bin`` holding the raw little-endian float64
+A checkpoint is a directory of two files: ``manifest.json`` (schema, model
+config, provenance) and ``params.bin``, the raw little-endian float64
 parameter vector, so round-trips are bit-identical.
 """
 
@@ -162,16 +162,12 @@ def retrain_oracle(
 
 def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    blob = ckpt.params.astype("<f8").tobytes()
     with open(os.path.join(directory, "params.bin"), "wb") as fh:
-        fh.write(blob)
+        fh.write(ckpt.params.astype("<f8").tobytes())
     manifest = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "model_config": ckpt.model_config.to_dict(),
         "provenance": ckpt.provenance,
-        "param_count": int(ckpt.params.size),
-        "dtype": "f64",
-        "blob": "params.bin",
     }
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -179,8 +175,10 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
 
 
 def load_checkpoint(directory: str) -> Checkpoint:
-    """Read a checkpoint directory back, rejecting a blob named outside it and
-    non-finite parameters."""
+    """Read a checkpoint directory back, rejecting a ``params.bin`` that does
+    not fit the model config and non-finite parameters. Other manifest keys,
+    such as the ``param_count``, ``dtype`` and ``blob`` earlier versions
+    wrote, are ignored."""
     with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
@@ -188,19 +186,13 @@ def load_checkpoint(directory: str) -> Checkpoint:
             f"unsupported checkpoint schema_version {manifest.get('schema_version')}"
         )
     model_cfg = ModelConfig.from_dict(manifest["model_config"])
-    name = manifest["blob"]
-    if not isinstance(name, str) or name in ("", ".", "..") or os.path.basename(name) != name:
-        raise ValueError(f"{directory}: blob {name!r} is not a file name in the checkpoint")
-    with open(os.path.join(directory, name), "rb") as fh:
+    with open(os.path.join(directory, "params.bin"), "rb") as fh:
         blob = fh.read()
-    n = int(manifest["param_count"])
+    n = param_count(model_cfg)
     if len(blob) != 8 * n:
-        raise ValueError(
-            f"blob holds {len(blob) // 8} values but manifest declares {n}"
-        )
-    if n != param_count(model_cfg):
-        raise ValueError("param_count does not match the model config")
+        raise ValueError(f"{directory}: the params.bin blob holds {len(blob)} bytes, "
+                         f"but the model config has {n} float64 parameters")
     params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if not np.isfinite(params).all():
-        raise ValueError(f"{directory}: {name} holds non-finite parameters")
+        raise ValueError(f"{directory}: params.bin holds non-finite parameters")
     return Checkpoint(params, model_cfg, manifest.get("provenance", {}))

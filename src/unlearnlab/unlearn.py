@@ -40,8 +40,8 @@ class UnlearnConfig:
     ``t_out`` counts their epochs (steps for ``joint``), ``beta_r`` is the
     descent lr and ``batch_r`` the batch size (ft/rl/salun/joint), and
     ``beta_f`` the ascent lr and ``batch_f`` the batch size (ga, and joint's
-    forget batch). ``alpha`` may be 0, which makes the fast-slow update the
-    identity map.
+    forget batch). ft, rl and salun therefore need ``beta_r > 0``. ``alpha``
+    may be 0, which makes the fast-slow update the identity map.
     """
 
     method: str
@@ -62,6 +62,10 @@ class UnlearnConfig:
             raise ValueError(f"unknown method {self.method!r}; expected {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0,1], got {self.alpha}")
+        if self.method in ("ft", "rl", "salun") and self.beta_r <= 0:
+            raise ValueError(
+                f"beta_r must be > 0 for {self.method}, whose SGD lr it is; got {self.beta_r}"
+            )
         if self.beta_f < 0 or self.beta_r < 0:
             raise ValueError("inner learning rates must be >= 0")
         if self.t_in < 0:

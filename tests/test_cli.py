@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from unlearnlab import __version__
 from unlearnlab.cli import main
 
 
@@ -58,9 +59,11 @@ def test_full_pipeline_produces_artifacts(tmp_path):
     for sub in ("dataset.csv", "split.json", "pretrain", "retrain", "unlearn_sfr_on"):
         assert (out / sub).exists()
     for ckpt_dir in ("pretrain", "retrain", "unlearn_sfr_on"):
-        assert (out / ckpt_dir / "provenance.json").exists()
-        assert (out / ckpt_dir / "manifest.json").exists()
-        assert (out / ckpt_dir / "params.bin").exists()
+        assert sorted(os.listdir(out / ckpt_dir)) == ["manifest.json", "params.bin"]
+        manifest = json.loads((out / ckpt_dir / "manifest.json").read_text())
+        assert sorted(manifest) == ["model_config", "provenance", "schema_version"]
+        assert manifest["provenance"]["library_version"] == __version__
+        assert manifest["provenance"]["class_count"] == 3
     report = json.loads((out / "report_sfr_on.json").read_text())
     assert set(report) >= {"fa", "ra", "ta", "mia", "kl_to_ref", "avg_d", "gaps"}
 
@@ -148,6 +151,20 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     assert "unknown unlearn config keys ['beta_F']" in capsys.readouterr().err
 
 
+def test_zero_beta_r_for_ft_fails_before_any_input_is_read(tmp_path, capsys):
+    out = tmp_path / "lr0"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    config["unlearn"]["ft"]["beta_r"] = 0
+    cfg_path.write_text(json.dumps(config))
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "ft",
+                 "--pretrained", str(tmp_path / "missing"),
+                 "--split", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err == (
+        "error: beta_r must be > 0 for ft, whose SGD lr it is; got 0.0\n")
+    assert not out.exists()
+
+
 def test_missing_config_field_is_an_error_not_a_traceback(tmp_path, capsys):
     cfg_path = tmp_path / "config.json"
     config = _write_config(cfg_path, tmp_path / "nofield")
@@ -167,6 +184,17 @@ def test_csv_label_outside_int64_is_an_error_not_a_traceback(tmp_path, capsys):
     assert main(["pretrain", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == (
         f"error: {csv}: line 3: label 99999999999999999999 is outside int64\n")
+
+
+def test_unknown_dataset_kind_is_rejected_before_anything_is_written(tmp_path, capsys):
+    out = tmp_path / "mnist"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    config["dataset"]["kind"] = "mnist"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: unknown dataset kind 'mnist'\n"
+    assert os.listdir(out) == []
 
 
 def test_changed_dataset_spec_does_not_reuse_the_csv(tmp_path, capsys):

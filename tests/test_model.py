@@ -231,12 +231,14 @@ CONFIGS = st.one_of(
     st.builds(TrainConfig, lr=st.floats(1e-6, 10.0), epochs=st.integers(0, 100),
               batch_size=st.integers(1, 512), schedule=st.sampled_from(["constant", "cosine"]),
               momentum=st.floats(0.0, 0.99), seed=seeds),
-    st.builds(UnlearnConfig, method=st.sampled_from(METHODS), alpha=st.floats(0.0, 1.0),
-              beta_f=st.floats(0.0, 5.0), beta_r=st.floats(0.0, 5.0), t_in=st.integers(0, 20),
-              t_out=st.integers(1, 200), lambda_temp=st.floats(0.0, 3.0),
-              gamma=st.floats(0.0, 10.0), batch_f=st.integers(1, 512),
-              batch_r=st.integers(1, 512), seed=seeds,
-              salun_top_k=st.floats(0.5, 100.0)),
+    # ft, rl and salun train at lr beta_r, so only they exclude beta_r = 0.
+    st.sampled_from(METHODS).flatmap(lambda method: st.builds(
+        UnlearnConfig, method=st.just(method), alpha=st.floats(0.0, 1.0),
+        beta_f=st.floats(0.0, 5.0),
+        beta_r=st.floats(0.0, 5.0, exclude_min=method in ("ft", "rl", "salun")),
+        t_in=st.integers(0, 20), t_out=st.integers(1, 200), lambda_temp=st.floats(0.0, 3.0),
+        gamma=st.floats(0.0, 10.0), batch_f=st.integers(1, 512),
+        batch_r=st.integers(1, 512), seed=seeds, salun_top_k=st.floats(0.5, 100.0))),
     st.builds(MetricsReport, fa=finite, ra=finite, ta=finite, mia=finite, kl_to_ref=finite,
               avg_d=finite, rte_seconds=finite,
               gaps=st.dictionaries(st.sampled_from(["fa", "ra", "ta", "mia"]), finite),

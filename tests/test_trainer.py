@@ -151,6 +151,9 @@ class TestCheckpointIO:
         assert np.array_equal(loaded.params, ckpt.params)
         assert loaded.model_config == ckpt.model_config
         assert loaded.provenance["role"] == "pretrain"
+        assert sorted(os.listdir(tmp_path / "ck")) == ["manifest.json", "params.bin"]
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        assert sorted(manifest) == ["model_config", "provenance", "schema_version"]
 
     def test_truncated_blob_rejected(self, tmp_path):
         ckpt = self._ckpt()
@@ -158,7 +161,7 @@ class TestCheckpointIO:
         save_checkpoint(ckpt, str(d))
         blob = (d / "params.bin").read_bytes()
         (d / "params.bin").write_bytes(blob[:-8])
-        with pytest.raises(ValueError, match="blob"):
+        with pytest.raises(ValueError, match="params.bin blob holds 248 bytes"):
             load_checkpoint(str(d))
 
     def test_unknown_schema_rejected(self, tmp_path):
@@ -171,14 +174,15 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="schema_version"):
             load_checkpoint(str(d))
 
-    def test_param_count_mismatch_rejected(self, tmp_path):
+    def test_model_config_that_disagrees_with_params_bin_rejected(self, tmp_path):
         ckpt = self._ckpt()
         d = tmp_path / "ck"
         save_checkpoint(ckpt, str(d))
         manifest = json.loads((d / "manifest.json").read_text())
-        manifest["param_count"] = manifest["param_count"] - 1
+        manifest["model_config"]["layer_sizes"] = [3, 4, 2]
         (d / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"blob holds 256 bytes, but the model "
+                                             r"config has 26 float64 parameters"):
             load_checkpoint(str(d))
 
     def test_non_finite_parameters_rejected(self, tmp_path):
@@ -192,17 +196,21 @@ class TestCheckpointIO:
             load_checkpoint(str(d))
 
     @pytest.mark.parametrize("blob", ["../outside.bin", "sub/params.bin", "..", ""])
-    def test_blob_outside_the_directory_rejected(self, tmp_path, blob):
+    def test_earlier_manifest_loads_its_own_params(self, tmp_path, blob):
+        # Earlier versions also wrote param_count, dtype and a blob name. The
+        # loader ignores them and reads the directory's own params.bin, never
+        # a well-formed file the name points at.
         ckpt = self._ckpt()
         d = tmp_path / "ck"
         save_checkpoint(ckpt, str(d))
-        # A well-formed blob outside the checkpoint must not be read.
-        (tmp_path / "outside.bin").write_bytes((d / "params.bin").read_bytes())
+        (tmp_path / "outside.bin").write_bytes((2.0 * ckpt.params).astype("<f8").tobytes())
         manifest = json.loads((d / "manifest.json").read_text())
-        manifest["blob"] = blob
-        (d / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="is not a file name in the checkpoint"):
-            load_checkpoint(str(d))
+        manifest.update(param_count=ckpt.params.size, dtype="f64", blob=blob)
+        (d / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+        loaded = load_checkpoint(str(d))
+        assert loaded.params.tobytes() == ckpt.params.tobytes()
+        assert loaded.model_config == ckpt.model_config
+        assert loaded.provenance == ckpt.provenance
 
 
 json_values = st.recursive(

@@ -319,6 +319,14 @@ class TestDispatch:
         with pytest.raises(ValueError, match="unknown method"):
             UnlearnConfig(method="nosuch")
 
+    @pytest.mark.parametrize("method", ["ft", "rl", "salun"])
+    def test_zero_beta_r_rejected_where_it_is_the_sgd_lr(self, method):
+        with pytest.raises(ValueError, match=f"beta_r must be > 0 for {method}"):
+            UnlearnConfig(method=method, beta_r=0.0)
+        # sfr_on's repair step and joint's step may be zero.
+        for other in ("sfr_on", "joint"):
+            UnlearnConfig(method=other, beta_r=0.0)
+
     def test_config_roundtrip(self):
         ucfg = UnlearnConfig(method="sfr_on", alpha=0.7, seed=3)
         assert UnlearnConfig.from_dict(ucfg.to_dict()) == ucfg
