@@ -25,14 +25,17 @@ from .data import (
     make_random_subset_split,
     save_csv_dataset,
     save_split,
+    write_json,
 )
 from .metrics import MARKDOWN_HEADER, MetricsReport, full_report
-from .model import ModelConfig, init_params
+from .model import ModelConfig, init_params, strict_from_dict
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, sgd_train
 from .unlearn import METHODS, UnlearnConfig, run_unlearning
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 CONFIG_SCHEMA_VERSION = 1
+CONFIG_KEYS = {"schema_version", "output_dir", "seed_list", "dataset", "split", "model",
+               "train", "unlearn"}
 
 
 def load_config(path: str) -> dict:
@@ -41,13 +44,14 @@ def load_config(path: str) -> dict:
     version = config.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version!r}")
+    unknown = sorted(set(config) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     return config
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _without_kind(spec: dict) -> dict:
+    return {k: v for k, v in spec.items() if k != "kind"}
 
 
 def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
@@ -60,7 +64,7 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     """
     spec = config["dataset"]
     if spec["kind"] == "csv":
-        return load_csv_dataset(spec["path"], spec.get("class_count")), spec["path"]
+        return strict_from_dict(load_csv_dataset, _without_kind(spec), "dataset"), spec["path"]
     if spec["kind"] != "blobs":
         raise ValueError(f"unknown dataset kind {spec['kind']!r}")
     materialized = os.path.join(out_dir, "dataset.csv")
@@ -76,15 +80,9 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
                 f"{spec}; remove it or choose another output_dir"
             )
         return load_csv_dataset(materialized), materialized
-    dataset = generate_blobs(
-        seed=int(spec["seed"]),
-        n_per_class=int(spec["n_per_class"]),
-        class_count=int(spec["class_count"]),
-        dim=int(spec["dim"]),
-        spread=float(spec["spread"]),
-    )
+    dataset = strict_from_dict(generate_blobs, _without_kind(spec), "dataset")
     dataset.sha256 = save_csv_dataset(dataset, materialized)
-    _write_json(spec_path, spec)
+    write_json(spec_path, spec)
     return dataset, materialized
 
 
@@ -116,21 +114,10 @@ def _check_digest(ckpt, ckpt_dir: str, what: str, sha256: str, path: str) -> Non
 
 def build_split(config: dict, dataset: Dataset):
     spec = config["split"]
-    if spec["kind"] == "random_subset":
-        return make_random_subset_split(
-            dataset,
-            fraction=float(spec["fraction"]),
-            test_fraction=float(spec["test_fraction"]),
-            seed=int(spec["seed"]),
-        )
-    if spec["kind"] == "classwise":
-        return make_classwise_split(
-            dataset,
-            class_id=int(spec["class_id"]),
-            test_fraction=float(spec["test_fraction"]),
-            seed=int(spec["seed"]),
-        )
-    raise ValueError(f"unknown split kind {spec['kind']!r}")
+    kinds = {"random_subset": make_random_subset_split, "classwise": make_classwise_split}
+    if spec["kind"] not in kinds:
+        raise ValueError(f"unknown split kind {spec['kind']!r}")
+    return strict_from_dict(kinds[spec["kind"]], _without_kind(spec), "split", dataset)
 
 
 def _out_dir(config: dict, override: str | None) -> str:
@@ -174,9 +161,8 @@ def cmd_retrain(args) -> int:
 
 def cmd_unlearn(args) -> int:
     config = load_config(args.config)
-    method_cfg = dict(config["unlearn"][args.method])
-    method_cfg["method"] = args.method
-    ucfg = UnlearnConfig.from_dict(method_cfg)
+    ucfg = strict_from_dict(UnlearnConfig, config["unlearn"][args.method], "unlearn config",
+                            args.method)
     out = _out_dir(config, args.out)
     dataset, dataset_path = resolve_dataset(config, out)
     split = load_split(args.split, len(dataset))
@@ -211,7 +197,7 @@ def cmd_eval(args) -> int:
         _check_digest(ckpt, ckpt_dir, "split", split.sha256, args.split)
     rte = float(ckpt_u.provenance.get("wall_seconds", 0.0))
     report = full_report(ckpt_u, ckpt_ref, dataset, split, rte_seconds=rte)
-    _write_json(args.out, report.to_dict())
+    write_json(args.out, report.to_dict())
     print(MARKDOWN_HEADER)
     print(report.markdown_row())
     return 0
@@ -224,7 +210,7 @@ def cmd_verify(args) -> int:
         detail = ", ".join(f"{k}={v}" for k, v in check["residuals"].items())
         print(f"[{status}] {check['check_name']}: {detail}")
     if args.out:
-        _write_json(args.out, report)
+        write_json(args.out, report)
     return 0 if report["pass"] else 1
 
 
@@ -306,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        choices=["grad", "prop1", "prop2", "fastslow", "klmix", "all"],
+        choices=SUITES,
     )
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)

@@ -15,7 +15,6 @@ import io
 import json
 import math
 import os
-import warnings
 import zipfile
 from dataclasses import dataclass, field
 
@@ -71,9 +70,14 @@ class ForgetSplit:
     sha256: str | None = None
 
     def __post_init__(self):
-        self.forget_idx = np.asarray(self.forget_idx, dtype=np.int64)
-        self.remain_idx = np.asarray(self.remain_idx, dtype=np.int64)
-        self.test_idx = np.asarray(self.test_idx, dtype=np.int64)
+        for name in ("forget_idx", "remain_idx", "test_idx"):
+            values = getattr(self, name)
+            idx = np.asarray(values)
+            # A JSON true among integers would otherwise read as 1.
+            if idx.size and (idx.dtype.kind not in "iu"
+                             or not isinstance(values, np.ndarray) and bool in map(type, values)):
+                raise ValueError(f"{name} must hold integers only, not floats or booleans")
+            setattr(self, name, idx.astype(np.int64, copy=False))
         self.validate()
 
     def validate(self):
@@ -194,12 +198,11 @@ def load_csv_dataset(path: str, class_count: int | None = None) -> Dataset:
     """Load ``label,f0,f1,...`` CSV; malformed rows report their line number.
 
     The sidecar's table is used when it was built from CSV bytes with the
-    same SHA-256; otherwise the body is parsed and the sidecar (re)written.
-    The parse is one vectorized pass. Only when that pass fails, or finds a
-    non-finite feature, does a row-by-row parse run; it reports the first bad
-    row with its physical line number (blank lines are skipped but counted).
-    Values follow Python's ``int``/``float`` parsing either way. The returned
-    ``Dataset`` is validated on every read and carries the digest.
+    same SHA-256; otherwise the body is parsed row by row and the sidecar
+    (re)written. The parse follows Python's ``int``/``float`` and reports the
+    first bad row with its physical line number (blank lines are skipped but
+    counted). The returned ``Dataset`` is validated on every read and carries
+    the digest.
     """
     with open(path, "rb") as raw:
         digest = hashlib.sha256()
@@ -212,10 +215,9 @@ def load_csv_dataset(path: str, class_count: int | None = None) -> Dataset:
             if not header.startswith("label,"):
                 raise ValueError(f"{path}: missing 'label,f0,...' header row")
             n_cols = len(header.split(","))
-            row = _row_dtype(n_cols - 1)
-            table = _read_sidecar(path, sha256, row)
+            table = _read_sidecar(path, sha256, _row_dtype(n_cols - 1))
             if table is None:
-                table = _parse_csv_body(fh, path, n_cols, row)
+                table = _as_table(*_parse_csv_rows(path, n_cols))
                 _write_sidecar(path, sha256, table)
     labels = np.ascontiguousarray(table["label"])
     features = np.ascontiguousarray(table["features"])
@@ -233,20 +235,6 @@ def _as_table(labels: np.ndarray, features: np.ndarray) -> np.ndarray:
     table["label"] = labels
     table["features"] = features
     return table
-
-
-def _parse_csv_body(fh, path: str, n_cols: int, row: np.dtype) -> np.ndarray:
-    """The rows after the header as one ``row``-typed table."""
-    try:
-        with warnings.catch_warnings():
-            # An empty body is reported by the row-by-row parse below.
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(fh, dtype=row, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        table = None
-    if table is not None and len(table) and np.isfinite(table["features"]).all():
-        return table
-    return _as_table(*_parse_csv_rows(path, n_cols))
 
 
 def _read_sidecar(path: str, sha256: str, row: np.dtype) -> np.ndarray | None:
@@ -328,6 +316,15 @@ def _parse_csv_rows(path: str, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(labels, dtype=np.int64), np.asarray(rows, dtype=np.float64)
 
 
+def write_json(path: str, payload) -> None:
+    """Write ``payload`` as key-sorted JSON indented by 2, plus a newline.
+    Streamed, not built as one string: json.dumps with indent holds every
+    chunk at once, 1.5 MB more at peak for a 20 000-row split."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def save_split(split: ForgetSplit, path: str) -> str:
     """Write ``split`` as JSON; returns the SHA-256 of the file's bytes, the
     ``sha256`` that ``load_split`` gives the split it reads back."""
@@ -337,11 +334,7 @@ def save_split(split: ForgetSplit, path: str) -> str:
         "test_idx": [int(i) for i in split.test_idx],
         "mode": split.mode,
     }
-    # Streamed, not built as one string: json.dumps with indent holds every
-    # chunk at once, 1.5 MB more at peak for a 20 000-row split.
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, payload)
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -353,9 +346,9 @@ def load_split(path: str, n_rows: int | None = None) -> ForgetSplit:
         raw = fh.read()
     payload = json.loads(raw.decode("utf-8"))
     split = ForgetSplit(
-        forget_idx=np.asarray(payload["forget_idx"], dtype=np.int64),
-        remain_idx=np.asarray(payload["remain_idx"], dtype=np.int64),
-        test_idx=np.asarray(payload["test_idx"], dtype=np.int64),
+        forget_idx=payload["forget_idx"],
+        remain_idx=payload["remain_idx"],
+        test_idx=payload["test_idx"],
         mode=dict(payload.get("mode", {})),
         sha256=hashlib.sha256(raw).hexdigest(),
     )

@@ -50,9 +50,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
         return strict_from_dict(cls, d, "report")

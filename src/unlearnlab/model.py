@@ -8,7 +8,7 @@ gradients, Fisher diagonals, and masks all align coordinate-by-coordinate.
 from __future__ import annotations
 
 import dataclasses
-import typing
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,31 +16,39 @@ import numpy as np
 from .autodiff import backward, check_labels, log_clamped, softmax, softmax_cross_entropy
 
 
-def strict_from_dict(cls, d: dict, what: str):
-    """Build dataclass ``cls`` from a JSON table, one field per key.
+def strict_from_dict(fn, d: dict, what: str, *args):
+    """Call ``fn`` (a dataclass or an annotated function) with ``args`` and one
+    argument per key of the JSON table ``d``, read from ``fn``'s signature.
 
     An unknown key raises ``ValueError`` naming ``what``; a missing key with
-    no default raises ``KeyError``. ``float`` fields store ``float``, and
-    ``int`` fields (and each entry of a ``tuple[int, ...]``) take integral
-    numbers only: ``2.0`` becomes ``2``, ``2.7`` is an error.
+    no default raises ``KeyError``. ``float`` parameters store ``float``;
+    ``int`` parameters (and each entry of a ``tuple[int, ...]``) take integral
+    numbers only: ``2.0`` becomes ``2``, ``2.7`` is an error. ``int | None``
+    also takes ``null``, and ``str`` takes strings only. Arguments are passed
+    positionally where the signature allows.
     """
-    fields = dataclasses.fields(cls)
-    unknown = sorted(set(d) - {f.name for f in fields})
+    sig = inspect.signature(fn, eval_str=True)
+    params = list(sig.parameters.values())[len(args):]
+    unknown = sorted(set(d) - {p.name for p in params})
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}")
-    types = typing.get_type_hints(cls)
     kwargs = {}
-    for f in fields:
-        if f.name in d:
-            kwargs[f.name] = _coerce(d[f.name], types[f.name], f"{what} key '{f.name}'")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise KeyError(f.name)
-    return cls(**kwargs)
+    for p in params:
+        if p.name in d:
+            kwargs[p.name] = _coerce(d[p.name], p.annotation, f"{what} key '{p.name}'")
+        elif p.default is inspect.Parameter.empty:
+            raise KeyError(p.name)
+    bound = sig.bind(*args, **kwargs)
+    return fn(*bound.args, **bound.kwargs)
 
 
 def _coerce(value, kind, where: str):
+    if kind == int | None:
+        return None if value is None else _coerce(value, int, where)
     if kind == tuple[int, ...] and isinstance(value, (list, tuple)):
         return tuple(_coerce(v, int, where) for v in value)
+    if kind is str and not isinstance(value, str):
+        raise ValueError(f"{where} must be a string, got {value!r}")
     if kind not in (int, float):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -66,10 +74,6 @@ class ModelConfig:
             raise ValueError(f"layer sizes must be >= 1, got {self.layer_sizes}")
         if self.init_scale <= 0:
             raise ValueError(f"init_scale must be positive, got {self.init_scale}")
-
-    @property
-    def input_size(self) -> int:
-        return self.layer_sizes[0]
 
     @property
     def class_count(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, ForgetSplit
+from .data import Dataset, ForgetSplit, write_json
 from .model import ModelConfig, init_params, loss_and_grad, param_count, strict_from_dict
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -169,9 +169,7 @@ def save_checkpoint(ckpt: Checkpoint, directory: str) -> None:
         "model_config": ckpt.model_config.to_dict(),
         "provenance": ckpt.provenance,
     }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(directory, "manifest.json"), manifest)
 
 
 def load_checkpoint(directory: str) -> Checkpoint:

@@ -347,11 +347,13 @@ def _fastslow_testbed() -> tuple[np.ndarray, ModelConfig, Dataset, ForgetSplit]:
     return theta, cfg, dataset, split
 
 
+SUITES = ("grad", "prop1", "prop2", "fastslow", "klmix", "all")
+
+
 def run_suite(suite: str) -> dict:
     """Run a named verification suite and return a JSON-ready report."""
-    suites = ("grad", "prop1", "prop2", "fastslow", "klmix", "all")
-    if suite not in suites:
-        raise ValueError(f"unknown suite {suite!r}; expected one of {suites}")
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
     checks: list[dict] = []
 
     def add(name: str, passed: bool, residuals: dict):

@@ -151,6 +151,67 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     assert "unknown unlearn config keys ['beta_F']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table, key, value, message", [
+    ("dataset", "n_per_clas", 5, "unknown dataset keys ['n_per_clas']"),
+    ("dataset", "seed", "71", "dataset key 'seed' must be a number, got '71'"),
+    ("split", "fractoin", 0.9, "unknown split keys ['fractoin']"),
+    ("split", "seed", 2.7, "split key 'seed' must be an integer, got 2.7"),
+])
+def test_bad_dataset_or_split_key_fails_before_training(tmp_path, capsys, table, key, value,
+                                                        message):
+    out = tmp_path / "bad"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    config[table][key] = value
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "split.json").exists() and not (out / "pretrain").exists()
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"path": 5}, "dataset key 'path' must be a string, got 5"),
+    ({"class_count": 2.5}, "dataset key 'class_count' must be an integer, got 2.5"),
+])
+def test_bad_csv_dataset_value_fails_before_training(tmp_path, capsys, fields, message):
+    csv = tmp_path / "d.csv"
+    csv.write_text("label,f0,f1,f2,f3\n0,1,2,3,4\n1,1,2,3,5\n")
+    out = tmp_path / "bad"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    config["dataset"] = {"kind": "csv", "path": str(csv), **fields}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(out) == []
+
+
+def test_unknown_top_level_config_key_is_an_error(tmp_path, capsys):
+    out = tmp_path / "top"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    config["unlern"] = {}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys ['unlern']\n"
+    assert not out.exists()
+
+
+def test_split_with_a_non_integer_index_is_rejected(tmp_path, capsys):
+    out = tmp_path / "frac"
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    split = json.loads((out / "split.json").read_text())
+    capsys.readouterr()
+    for bad_index in (1.7, True):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**split, "forget_idx": [*split["forget_idx"], bad_index]}))
+        assert main(["retrain", "--config", str(cfg_path), "--split", str(bad)]) == 1
+        assert "forget_idx must hold integers only" in capsys.readouterr().err
+    assert not (out / "retrain").exists()
+
+
 def test_zero_beta_r_for_ft_fails_before_any_input_is_read(tmp_path, capsys):
     out = tmp_path / "lr0"
     cfg_path = tmp_path / "config.json"

@@ -332,6 +332,13 @@ class TestSplitRoundTrip:
             load_split(str(p), n_rows=4)
 
 
+    @pytest.mark.parametrize("forget", ["[0, 1.7]", "[0, true]", "[0, 1.0]", '[0, "1"]'])
+    def test_non_integer_index_rejected_on_load(self, tmp_path, forget):
+        p = tmp_path / "frac.json"
+        p.write_text(f'{{"forget_idx": {forget}, "remain_idx": [2, 3], "test_idx": [4, 5]}}')
+        with pytest.raises(ValueError, match="forget_idx must hold integers only"):
+            load_split(str(p), n_rows=6)
+
 def test_dataset_label_validation():
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), class_count=2)
@@ -347,6 +354,15 @@ def test_dataset_rejects_non_finite_features():
 def test_forget_split_validation():
     with pytest.raises(ValueError):
         ForgetSplit(np.array([0]), np.array([0]), np.array([], dtype=int))
+
+
+def test_forget_split_rejects_float_and_bool_index_arrays():
+    with pytest.raises(ValueError, match="remain_idx must hold integers only"):
+        ForgetSplit(np.array([0]), np.array([1.0, 2.0]), np.array([], dtype=int))
+    with pytest.raises(ValueError, match="test_idx must hold integers only"):
+        ForgetSplit(np.array([0]), np.array([1]), np.array([True]))
+    with pytest.raises(ValueError, match="forget_idx must hold integers only"):
+        ForgetSplit((0, True), [1], [])
 
 
 def test_forget_split_rejects_negative_index():
@@ -376,7 +392,7 @@ def datasets(draw):
 def test_csv_round_trip_is_bit_exact(dataset):
     """The writer's sidecar, a parse, and the parse's sidecar all give the
     saved bits; the two sidecars are the same bytes."""
-    no_parse = mock.patch.object(data, "_parse_csv_body", side_effect=AssertionError)
+    no_parse = mock.patch.object(data, "_parse_csv_rows", side_effect=AssertionError)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.csv")
         digest = save_csv_dataset(dataset, path)
@@ -390,11 +406,7 @@ def test_csv_round_trip_is_bit_exact(dataset):
             rebuilt = fh.read()
         with no_parse:
             cached = load_csv_dataset(path, dataset.class_count)
-        # The row-by-row parser is the reference for the vectorized one.
-        ref_labels, ref_features = _parse_csv_rows(path, dataset.features.shape[1] + 1)
     assert rebuilt == written
-    assert ref_features.tobytes() == dataset.features.tobytes()
-    assert np.array_equal(ref_labels, dataset.labels)
     for loaded in (from_writer, parsed, cached):
         assert loaded.features.tobytes() == dataset.features.tobytes()
         assert np.array_equal(loaded.labels, dataset.labels)

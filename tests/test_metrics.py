@@ -314,7 +314,7 @@ class TestFullReport:
     def test_json_roundtrip(self):
         ckpt, dataset, split = self._inputs()
         report = full_report(ckpt, ckpt, dataset, split, rte_seconds=1.25)
-        restored = MetricsReport.from_dict(json.loads(report.to_json()))
+        restored = MetricsReport.from_dict(json.loads(_json(report)))
         assert restored.to_dict() == report.to_dict()
 
     def test_mia_rate_on_untrained_model(self):
@@ -384,7 +384,7 @@ class TestFullReport:
 
     def test_unknown_key_rejected_on_load(self):
         ckpt, dataset, split = self._inputs()
-        payload = json.loads(full_report(ckpt, ckpt, dataset, split).to_json())
+        payload = json.loads(_json(full_report(ckpt, ckpt, dataset, split)))
         payload["kl"] = 0.0
         with pytest.raises(ValueError, match=r"unknown report keys \['kl'\]"):
             MetricsReport.from_dict(payload)
@@ -396,9 +396,13 @@ class TestFullReport:
         assert len(cells) == 7
 
 
+def _json(report: MetricsReport) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
 def _cold_report(u, ref, dataset, split) -> str:
     metrics._reference_memo.clear()
-    return full_report(u, ref, dataset, split).to_json()
+    return _json(full_report(u, ref, dataset, split))
 
 
 @st.composite
@@ -424,7 +428,7 @@ def report_inputs(draw):
 def test_warm_reference_memo_gives_the_cold_report(inputs):
     dataset, split, ref, units = inputs
     metrics._reference_memo.clear()
-    warm = [full_report(u, ref, dataset, split).to_json() for u in units]
+    warm = [_json(full_report(u, ref, dataset, split)) for u in units]
     assert warm == [_cold_report(u, ref, dataset, split) for u in units]
 
 
@@ -458,7 +462,7 @@ class TestReferenceMemo:
         if change.endswith("_idx"):
             idx = getattr(split, change)
             twin = self._flipped_twin(dataset, ref, idx[0])
-        before = full_report(u, ref, dataset, split).to_json()
+        before = _json(full_report(u, ref, dataset, split))
         if change == "features":
             dataset.features[split.remain_idx[0]] += 1.0
         elif change == "labels":
@@ -467,7 +471,7 @@ class TestReferenceMemo:
             ref.params[-1] += 1.0
         else:
             idx[0] = twin
-        after = full_report(u, ref, dataset, split).to_json()
+        after = _json(full_report(u, ref, dataset, split))
         assert after != before
         assert after == _cold_report(u, ref, dataset, split)
 
@@ -478,15 +482,15 @@ class TestReferenceMemo:
         for sizes in ((4, 8, 3), (4, 2, 9, 3)):
             cfg = ModelConfig(layer_sizes=sizes)
             ref, u = Checkpoint(theta, cfg), Checkpoint(0.5 * theta, cfg)
-            assert full_report(u, ref, dataset, split).to_json() == _cold_report(
+            assert _json(full_report(u, ref, dataset, split)) == _cold_report(
                 u, ref, dataset, split)
 
     def test_remembered_outputs_cannot_be_changed_by_a_caller(self):
         dataset, split, ref, u = self._inputs()
-        first = full_report(u, ref, dataset, split).to_json()
+        first = _json(full_report(u, ref, dataset, split))
         acc, _, _, probs = metrics._evaluate_reference(ref, dataset, split)
         assert not probs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             probs[0, 0] = 1.0
         acc["fa"] = -1.0
-        assert full_report(u, ref, dataset, split).to_json() == first
+        assert _json(full_report(u, ref, dataset, split)) == first
