@@ -19,6 +19,7 @@ from . import __version__
 from .data import (
     Dataset,
     generate_blobs,
+    json_object,
     load_csv_dataset,
     load_split,
     make_classwise_split,
@@ -28,7 +29,7 @@ from .data import (
     write_json,
 )
 from .metrics import MARKDOWN_HEADER, MetricsReport, full_report
-from .model import ModelConfig, init_params, strict_from_dict
+from .model import ModelConfig, init_params, strict_arguments, strict_from_dict
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, sgd_train
 from .unlearn import METHODS, UnlearnConfig, run_unlearning
 from .verify import SUITES, run_suite
@@ -40,7 +41,7 @@ CONFIG_KEYS = {"schema_version", "output_dir", "seed_list", "dataset", "split", 
 
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = json_object(json.load(fh), path)
     version = config.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version!r}")
@@ -59,14 +60,16 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
 
     Generated datasets are written to ``out_dir/dataset.csv`` once, with the
     generating spec in ``dataset.spec.json`` beside it, so every later
-    command and checkpoint refers to the same file. A CSV whose recorded
-    spec differs from the config's is an error, not a silent reuse.
+    command and checkpoint refers to the same file. The spec is read
+    strictly before a CSV is reused, and a CSV whose recorded spec differs
+    from the config's is an error, not a silent reuse.
     """
-    spec = config["dataset"]
+    spec = json_object(config["dataset"], "dataset")
     if spec["kind"] == "csv":
         return strict_from_dict(load_csv_dataset, _without_kind(spec), "dataset"), spec["path"]
     if spec["kind"] != "blobs":
         raise ValueError(f"unknown dataset kind {spec['kind']!r}")
+    blobs = strict_arguments(generate_blobs, _without_kind(spec), "dataset")
     materialized = os.path.join(out_dir, "dataset.csv")
     spec_path = os.path.join(out_dir, "dataset.spec.json")
     if os.path.exists(materialized):
@@ -80,7 +83,7 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
                 f"{spec}; remove it or choose another output_dir"
             )
         return load_csv_dataset(materialized), materialized
-    dataset = strict_from_dict(generate_blobs, _without_kind(spec), "dataset")
+    dataset = generate_blobs(*blobs.args, **blobs.kwargs)
     dataset.sha256 = save_csv_dataset(dataset, materialized)
     write_json(spec_path, spec)
     return dataset, materialized
@@ -113,7 +116,7 @@ def _check_digest(ckpt, ckpt_dir: str, what: str, sha256: str, path: str) -> Non
 
 
 def build_split(config: dict, dataset: Dataset):
-    spec = config["split"]
+    spec = json_object(config["split"], "split")
     kinds = {"random_subset": make_random_subset_split, "classwise": make_classwise_split}
     if spec["kind"] not in kinds:
         raise ValueError(f"unknown split kind {spec['kind']!r}")
@@ -161,8 +164,8 @@ def cmd_retrain(args) -> int:
 
 def cmd_unlearn(args) -> int:
     config = load_config(args.config)
-    ucfg = strict_from_dict(UnlearnConfig, config["unlearn"][args.method], "unlearn config",
-                            args.method)
+    table = json_object(config["unlearn"], "unlearn")[args.method]
+    ucfg = strict_from_dict(UnlearnConfig, table, "unlearn config", args.method)
     out = _out_dir(config, args.out)
     dataset, dataset_path = resolve_dataset(config, out)
     split = load_split(args.split, len(dataset))

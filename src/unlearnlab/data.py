@@ -316,6 +316,13 @@ def _parse_csv_rows(path: str, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(labels, dtype=np.int64), np.asarray(rows, dtype=np.float64)
 
 
+def json_object(value, what: str) -> dict:
+    """``value`` itself if it is a JSON object; otherwise ``ValueError``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def write_json(path: str, payload) -> None:
     """Write ``payload`` as key-sorted JSON indented by 2, plus a newline.
     Streamed, not built as one string: json.dumps with indent holds every
@@ -344,12 +351,12 @@ def load_split(path: str, n_rows: int | None = None) -> ForgetSplit:
     of an ``n_rows``-row dataset and a split that leaves rows out."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    payload = json.loads(raw.decode("utf-8"))
+    payload = json_object(json.loads(raw.decode("utf-8")), path)
     split = ForgetSplit(
         forget_idx=payload["forget_idx"],
         remain_idx=payload["remain_idx"],
         test_idx=payload["test_idx"],
-        mode=dict(payload.get("mode", {})),
+        mode=json_object(payload.get("mode", {}), f"{path} mode"),
         sha256=hashlib.sha256(raw).hexdigest(),
     )
     if n_rows is not None:

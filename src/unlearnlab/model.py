@@ -14,22 +14,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import backward, check_labels, log_clamped, softmax, softmax_cross_entropy
+from .data import json_object
 
 
 def strict_from_dict(fn, d: dict, what: str, *args):
-    """Call ``fn`` (a dataclass or an annotated function) with ``args`` and one
-    argument per key of the JSON table ``d``, read from ``fn``'s signature.
+    """Call ``fn`` with the arguments ``strict_arguments`` reads."""
+    bound = strict_arguments(fn, d, what, *args)
+    return fn(*bound.args, **bound.kwargs)
 
-    An unknown key raises ``ValueError`` naming ``what``; a missing key with
-    no default raises ``KeyError``. ``float`` parameters store ``float``;
-    ``int`` parameters (and each entry of a ``tuple[int, ...]``) take integral
-    numbers only: ``2.0`` becomes ``2``, ``2.7`` is an error. ``int | None``
-    also takes ``null``, and ``str`` takes strings only. Arguments are passed
-    positionally where the signature allows.
+
+def strict_arguments(fn, d: dict, what: str, *args) -> inspect.BoundArguments:
+    """Bind ``args`` and one argument per key of the JSON table ``d`` to the
+    signature of ``fn`` (a dataclass or an annotated function).
+
+    A ``d`` that is not a JSON object and an unknown key raise ``ValueError``
+    naming ``what``; a missing key with no default raises ``KeyError``.
+    ``float`` parameters store ``float``; ``int`` parameters (and each entry
+    of a ``tuple[int, ...]``) take integral numbers only: ``2.0`` becomes
+    ``2``, ``2.7`` is an error. ``int | None`` also takes ``null``, and
+    ``str`` takes strings only. Arguments are bound positionally where the
+    signature allows.
     """
     sig = inspect.signature(fn, eval_str=True)
     params = list(sig.parameters.values())[len(args):]
-    unknown = sorted(set(d) - {p.name for p in params})
+    unknown = sorted(set(json_object(d, what)) - {p.name for p in params})
     if unknown:
         raise ValueError(f"unknown {what} keys {unknown}")
     kwargs = {}
@@ -38,8 +46,7 @@ def strict_from_dict(fn, d: dict, what: str, *args):
             kwargs[p.name] = _coerce(d[p.name], p.annotation, f"{what} key '{p.name}'")
         elif p.default is inspect.Parameter.empty:
             raise KeyError(p.name)
-    bound = sig.bind(*args, **kwargs)
-    return fn(*bound.args, **bound.kwargs)
+    return sig.bind(*args, **kwargs)
 
 
 def _coerce(value, kind, where: str):

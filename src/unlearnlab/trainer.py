@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, ForgetSplit, write_json
+from .data import Dataset, ForgetSplit, json_object, write_json
 from .model import ModelConfig, init_params, loss_and_grad, param_count, strict_from_dict
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -177,8 +177,9 @@ def load_checkpoint(directory: str) -> Checkpoint:
     not fit the model config and non-finite parameters. Other manifest keys,
     such as the ``param_count``, ``dtype`` and ``blob`` earlier versions
     wrote, are ignored."""
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        manifest = json_object(json.load(fh), manifest_path)
     if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise ValueError(
             f"unsupported checkpoint schema_version {manifest.get('schema_version')}"
@@ -193,4 +194,5 @@ def load_checkpoint(directory: str) -> Checkpoint:
     params = np.frombuffer(blob, dtype="<f8").astype(np.float64)
     if not np.isfinite(params).all():
         raise ValueError(f"{directory}: params.bin holds non-finite parameters")
-    return Checkpoint(params, model_cfg, manifest.get("provenance", {}))
+    provenance = json_object(manifest.get("provenance", {}), f"{manifest_path} provenance")
+    return Checkpoint(params, model_cfg, provenance)

@@ -174,6 +174,21 @@ def _sample_batch(rng: np.random.Generator, idx: np.ndarray, size: int) -> np.nd
     return rng.choice(idx, size=size, replace=False)
 
 
+def repaired_point(theta: np.ndarray, cfg: ModelConfig, fx: np.ndarray, fy: np.ndarray,
+                   coeffs: np.ndarray | None, mask: np.ndarray, beta_f: float,
+                   beta_r: float, remain_batches) -> np.ndarray:
+    """The fast-slow inner pass: from ``theta``, one ascent step of size
+    ``beta_f`` on the ``mask``-gated, ``coeffs``-weighted gradient of the forget
+    batch (``fx``, ``fy``), then one SGD step of size ``beta_r`` per ``(x, y)``
+    that ``remain_batches`` yields. Returns the repaired point."""
+    _, grad_f = loss_and_grad(theta, cfg, fx, fy, weights=coeffs)
+    theta_rep = theta + beta_f * (mask * grad_f)
+    for x, y in remain_batches:
+        _, grad_r = loss_and_grad(theta_rep, cfg, x, y)
+        theta_rep = theta_rep - beta_r * grad_r
+    return theta_rep
+
+
 def sfr_on(
     theta0: np.ndarray,
     model_cfg: ModelConfig,
@@ -185,9 +200,10 @@ def sfr_on(
 
     Per outer step t in 1..t_out: sample a forgetting batch, weight it with
     ``adaptive_coefficients`` at (t-1, t_out), take one masked ascent step of
-    size beta_f (fast), run t_in SGD repair steps of size beta_r on remaining
-    batches, then move the slow weights: theta <- theta - alpha*(theta -
-    repaired). The Fisher diagonals and mask are computed once at ``theta0``.
+    size beta_f (fast) and t_in SGD repair steps of size beta_r on remaining
+    batches (``repaired_point``), then move the slow weights: theta <- theta -
+    alpha*(theta - repaired). The Fisher diagonals and mask are computed once
+    at ``theta0``.
     """
     fd = fisher_diagonals(theta0, model_cfg, dataset, split)
     mask = saliency_mask(fd, ucfg.gamma)
@@ -199,15 +215,12 @@ def sfr_on(
         fx, fy = dataset.features[fbatch], dataset.labels[fbatch]
         losses = per_sample_losses(theta, model_cfg, fx, fy)
         coeffs = adaptive_coefficients(losses, t - 1, ucfg.t_out, ucfg.lambda_temp)
-        _, grad_f = loss_and_grad(theta, model_cfg, fx, fy, weights=coeffs)
-        theta_fast = theta + ucfg.beta_f * (mask * grad_f)
-        theta_rep = theta_fast
-        for _ in range(ucfg.t_in):
-            rbatch = _sample_batch(rng, split.remain_idx, ucfg.batch_r)
-            _, grad_r = loss_and_grad(
-                theta_rep, model_cfg, dataset.features[rbatch], dataset.labels[rbatch]
-            )
-            theta_rep = theta_rep - ucfg.beta_r * grad_r
+        rbatches = (_sample_batch(rng, split.remain_idx, ucfg.batch_r)
+                    for _ in range(ucfg.t_in))
+        theta_rep = repaired_point(
+            theta, model_cfg, fx, fy, coeffs, mask, ucfg.beta_f, ucfg.beta_r,
+            ((dataset.features[b], dataset.labels[b]) for b in rbatches),
+        )
         theta = theta - ucfg.alpha * (theta - theta_rep)
         if not np.all(np.isfinite(theta)):
             raise RuntimeError(f"non-finite parameters at outer step {t}")

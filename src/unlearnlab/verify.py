@@ -9,7 +9,9 @@ Three families of checks:
   to linear-algebra accuracy.
 * A Hessian-vector-product check that one fast ascent step followed by one
   repair step realizes the curvature-adjusted direction on a real tiny
-  network, up to a second-order remainder trackable in the step sizes.
+  network, up to a second-order remainder trackable in the step sizes. The
+  realized step is ``sfr_on``'s own inner pass, ``unlearn.repaired_point``,
+  run on the whole forget set and one batch of the whole remain set.
 * Gradient fidelity of the explicit backward chain against central finite
   differences, and the KL mixture split over disjoint forget/remain outcome
   spaces.
@@ -30,7 +32,7 @@ from .model import (
     param_count,
     per_sample_losses,
 )
-from .unlearn import adaptive_coefficients
+from .unlearn import adaptive_coefficients, repaired_point
 
 HVP_STEP = 1e-5  # perturbation norm used for finite-difference curvature
 
@@ -66,11 +68,15 @@ class QuadraticTestbed:
     def p_r(self) -> float:
         return 1.0 - self.p_f
 
-    def weighted_minimum(self) -> np.ndarray:
-        """argmin of remain loss + eps * forget loss, in closed form."""
+    def forget_direction(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weighted minimum theta, the closed-form argmin of remain loss
+        + eps * forget loss, and A_f B_r^{-1} (-grad_f) there, where grad_f
+        is the gradient of the weighted forgetting loss."""
         lhs = self.b_mat + self.eps * self.a_mat
         rhs = self.b_mat @ self.b + self.eps * self.a_mat @ self.a
-        return np.linalg.solve(lhs, rhs)
+        theta = np.linalg.solve(lhs, rhs)
+        grad_f = self.eps * (self.a_mat @ (theta - self.a))
+        return theta, self.a_mat @ np.linalg.solve(self.b_mat, -grad_f)
 
 
 @dataclass
@@ -108,9 +114,14 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _rel_err(u: np.ndarray, v: np.ndarray) -> float:
-    denom = max(np.linalg.norm(u), 1e-300)
-    return float(np.linalg.norm(u - v) / denom)
+def _compare(u: np.ndarray, v: np.ndarray) -> DirectionCheckResult:
+    """The cosine of ``u`` and ``v``, ||u - v|| / ||u|| and ||u - v||."""
+    gap = np.linalg.norm(u - v)
+    return DirectionCheckResult(
+        cosine=_cosine(u, v),
+        rel_norm_err=float(gap / max(np.linalg.norm(u), 1e-300)),
+        residual=float(gap),
+    )
 
 
 def check_kl_mixture(
@@ -155,18 +166,11 @@ def check_euclidean_direction(tb: QuadraticTestbed) -> DirectionCheckResult:
     at the weighted minimum, must equal minus the exact KL-objective gradient
     g = [p_f A_f + p_r B_r](theta - b). Reports ||d + g||.
     """
-    theta = tb.weighted_minimum()
-    grad_f = tb.eps * (tb.a_mat @ (theta - tb.a))  # gradient of weighted forget loss
+    theta, forget_dir = tb.forget_direction()
     grad_r = tb.b_mat @ (theta - tb.b)
-    d = -(
-        tb.a_mat @ np.linalg.solve(tb.b_mat, -grad_f) * tb.p_f + grad_r * tb.p_r
-    )
+    d = -(forget_dir * tb.p_f + grad_r * tb.p_r)
     g = (tb.p_f * tb.a_mat + tb.p_r * tb.b_mat) @ (theta - tb.b)
-    return DirectionCheckResult(
-        cosine=_cosine(d, -g),
-        rel_norm_err=_rel_err(d, -g),
-        residual=float(np.linalg.norm(d + g)),
-    )
+    return _compare(d, -g)
 
 
 def check_manifold_direction(tb: QuadraticTestbed, alpha: float) -> DirectionCheckResult:
@@ -179,28 +183,20 @@ def check_manifold_direction(tb: QuadraticTestbed, alpha: float) -> DirectionChe
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    theta = tb.weighted_minimum()
-    grad_f = tb.eps * (tb.a_mat @ (theta - tb.a))
-    forget_dir = tb.a_mat @ np.linalg.solve(tb.b_mat, -grad_f)
+    _, forget_dir = tb.forget_direction()
     atil = alpha * tb.p_f / (alpha * tb.p_r + 1.0)
     predicted = -atil * np.linalg.solve(tb.b_mat, forget_dir)
     # Closed-form minimizer of the quadratic surrogate.
     scale = tb.p_r + 1.0 / alpha
     oracle = -np.linalg.solve(scale * tb.b_mat, tb.p_f * forget_dir)
-    return DirectionCheckResult(
-        cosine=_cosine(predicted, oracle),
-        rel_norm_err=_rel_err(oracle, predicted),
-        residual=float(np.linalg.norm(predicted - oracle)),
-    )
+    return _compare(oracle, predicted)
 
 
 def manifold_vs_euclidean_identity(tb: QuadraticTestbed, alpha: float) -> float:
     """Algebraic link between the two directions: the manifold direction is
     B_r^{-1} applied to the forgetting component of the Euclidean one, scaled
     by alpha/(alpha*p_r + 1). Returns the residual norm."""
-    theta = tb.weighted_minimum()
-    grad_f = tb.eps * (tb.a_mat @ (theta - tb.a))
-    forget_component = tb.a_mat @ np.linalg.solve(tb.b_mat, -grad_f) * tb.p_f
+    forget_component = tb.forget_direction()[1] * tb.p_f
     atil = alpha * tb.p_f / (alpha * tb.p_r + 1.0)
     manifold_dir = -atil / tb.p_f * np.linalg.solve(tb.b_mat, forget_component)
     scale = alpha / (alpha * tb.p_r + 1.0)
@@ -208,14 +204,21 @@ def manifold_vs_euclidean_identity(tb: QuadraticTestbed, alpha: float) -> float:
     return float(np.linalg.norm(manifold_dir - linked))
 
 
-def _remain_grad_fn(cfg: ModelConfig, dataset: Dataset, idx: np.ndarray):
-    x, y = dataset.features[idx], dataset.labels[idx]
+def _realized_step(theta, cfg, dataset, split, beta_f, beta_r, mask, coeffs):
+    """``repaired_point`` on the whole forget set and one whole remain batch:
+    returns u = theta - repaired, grad_u (minus the masked weighted forget
+    gradient), the remain gradient at ``theta`` and the remain-gradient map."""
+    theta = np.asarray(theta, dtype=np.float64)
+    mask = np.ones_like(theta) if mask is None else mask
+    fx, fy = dataset.features[split.forget_idx], dataset.labels[split.forget_idx]
+    rx, ry = dataset.features[split.remain_idx], dataset.labels[split.remain_idx]
+    u = theta - repaired_point(theta, cfg, fx, fy, coeffs, mask, beta_f, beta_r, [(rx, ry)])
+    _, grad_f = loss_and_grad(theta, cfg, fx, fy, weights=coeffs)
 
-    def grad_fn(theta):
-        _, g = loss_and_grad(theta, cfg, x, y)
-        return g
+    def remain_grad(t):
+        return loss_and_grad(t, cfg, rx, ry)[1]
 
-    return grad_fn
+    return u, -(mask * grad_f), remain_grad(theta), remain_grad
 
 
 def check_fast_slow_direction(
@@ -230,42 +233,26 @@ def check_fast_slow_direction(
 ) -> DirectionCheckResult:
     """One fast ascent step plus one repair step vs. its curvature prediction.
 
-    Realized direction: u = theta - theta_rep after the two steps. Predicted:
+    Realized direction: u = theta - theta_rep after ``sfr_on``'s own inner
+    pass, ``repaired_point``, with one repair step. Predicted:
     v = beta_f (I - beta_r H_r) grad_u + beta_r grad_r, where grad_u is minus
     the masked weighted forgetting gradient and H_r grad_u comes from the
     finite-difference Hessian-vector product. Agreement is limited only by
     the O(beta_f^2) Taylor remainder of the repair gradient.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if mask is None:
-        mask = np.ones_like(theta)
-    fidx, ridx = split.forget_idx, split.remain_idx
-    _, grad_f = loss_and_grad(
-        theta, cfg, dataset.features[fidx], dataset.labels[fidx], weights=coeffs
+    u, grad_u, grad_r, remain_grad = _realized_step(
+        theta, cfg, dataset, split, beta_f, beta_r, mask, coeffs
     )
-    grad_u = -(mask * grad_f)
-    remain_grad = _remain_grad_fn(cfg, dataset, ridx)
-    grad_r = remain_grad(theta)
-
-    theta_fast = theta - beta_f * grad_u
-    grad_r_at_fast = remain_grad(theta_fast)
-    theta_rep = theta_fast - beta_r * grad_r_at_fast
-    u = theta - theta_rep
-
     gu_norm = np.linalg.norm(grad_u)
     if gu_norm > 0 and beta_r > 0:
         h = HVP_STEP / gu_norm
         hessian_term = hessian_vector_product(remain_grad, theta, grad_u, h)
     else:
-        hessian_term = np.zeros_like(theta)
+        hessian_term = np.zeros_like(grad_u)
     v = beta_f * (grad_u - beta_r * hessian_term) + beta_r * grad_r
     if not np.all(np.isfinite(v)) or not np.all(np.isfinite(u)):
         raise ValueError("non-finite intermediate in fast-slow check")
-    return DirectionCheckResult(
-        cosine=_cosine(u, v),
-        rel_norm_err=_rel_err(u, v),
-        residual=float(np.linalg.norm(u - v)),
-    )
+    return _compare(u, v)
 
 
 def fast_slow_joint_remainder(
@@ -283,21 +270,8 @@ def fast_slow_joint_remainder(
     This gap is exactly the curvature adjustment the repair step introduces;
     it scales as beta^2, so doubling beta should roughly quadruple it.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    if mask is None:
-        mask = np.ones_like(theta)
-    fidx, ridx = split.forget_idx, split.remain_idx
-    _, grad_f = loss_and_grad(
-        theta, cfg, dataset.features[fidx], dataset.labels[fidx], weights=coeffs
-    )
-    grad_u = -(mask * grad_f)
-    remain_grad = _remain_grad_fn(cfg, dataset, ridx)
-    grad_r = remain_grad(theta)
-    theta_fast = theta - beta * grad_u
-    theta_rep = theta_fast - beta * remain_grad(theta_fast)
-    u = theta - theta_rep
-    joint = beta * (grad_u + grad_r)
-    return float(np.linalg.norm(u - joint))
+    u, grad_u, grad_r, _ = _realized_step(theta, cfg, dataset, split, beta, beta, mask, coeffs)
+    return float(np.linalg.norm(u - beta * (grad_u + grad_r)))
 
 
 def check_gradients(seeds: int = 20, h: float = 1e-5) -> float:

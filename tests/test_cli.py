@@ -277,6 +277,85 @@ def test_changed_dataset_spec_does_not_reuse_the_csv(tmp_path, capsys):
     assert (out / "dataset.csv").read_bytes() == csv
 
 
+def test_a_recorded_dataset_spec_is_read_strictly_before_reuse(tmp_path, capsys):
+    out = tmp_path / "typo"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    # The same misspelt table in the config and in the recorded spec, as an
+    # earlier version could have written it.
+    config["dataset"]["n_per_clas"] = 5
+    cfg_path.write_text(json.dumps(config))
+    (out / "dataset.spec.json").write_text(json.dumps(config["dataset"]))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: unknown dataset keys ['n_per_clas']\n"
+
+
+@pytest.mark.parametrize("table, value, what", [
+    (None, None, "config"),
+    ("dataset", [], "dataset"),
+    ("split", [], "split"),
+    ("train", [1], "train config"),
+])
+def test_config_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, table, value, what):
+    out = tmp_path / "shape"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    if table is None:
+        config, what = [config], str(cfg_path)
+    else:
+        config[table] = value
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {what} must be a JSON object, got list\n"
+    assert not (out / "pretrain").exists()
+
+
+def test_unlearn_table_of_the_wrong_json_shape_is_an_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, tmp_path / "shape")
+    config["unlearn"] = []
+    cfg_path.write_text(json.dumps(config))
+    assert main(["unlearn", "--config", str(cfg_path), "--method", "ft",
+                 "--pretrained", str(tmp_path / "missing"),
+                 "--split", str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err == "error: unlearn must be a JSON object, got list\n"
+
+
+@pytest.mark.parametrize("text, suffix", [
+    ("[1, 2]", ""),
+    ('{"forget_idx": [0], "remain_idx": [1], "test_idx": [], "mode": [1]}', " mode"),
+])
+def test_split_file_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, text, suffix):
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, tmp_path / "shape")
+    bad = tmp_path / "split.json"
+    bad.write_text(text)
+    assert main(["retrain", "--config", str(cfg_path), "--split", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {bad}{suffix} must be a JSON object, got list\n"
+
+
+@pytest.mark.parametrize("provenance_only", [False, True])
+def test_manifest_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, provenance_only):
+    out = tmp_path / "shape"
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    manifest_path = out / "pretrain" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if provenance_only:
+        manifest["provenance"] = []
+        what = f"{manifest_path} provenance"
+    else:
+        manifest, what = [manifest], str(manifest_path)
+    manifest_path.write_text(json.dumps(manifest))
+    pre = str(out / "pretrain")
+    assert main(["eval", "--model", pre, "--reference", pre, "--split", str(out / "split.json"),
+                 "--out", str(out / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {what} must be a JSON object, got list\n"
+    assert not (out / "r.json").exists()
+
+
 def _edit_last_digit_of_first_row(csv):
     text = csv.read_text()
     end = text.index("\n", text.index("\n") + 1) - 1

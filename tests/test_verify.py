@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from unlearnlab import unlearn
+from unlearnlab.cli import main
 from unlearnlab.data import generate_blobs, make_random_subset_split
 from unlearnlab.model import (
     ModelConfig,
@@ -172,6 +174,18 @@ class TestFastSlowDirection:
         )
         # Fully masked forgetting leaves only the repair direction.
         assert res.cosine == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_suite_checks_the_step_sfr_on_takes(self, monkeypatch):
+        # A sign error in the shipped update must fail the suite, so the
+        # suite has to realize that update, not a copy of it.
+        def negated(*args, **kwargs):
+            loss, grad = loss_and_grad(*args, **kwargs)
+            return loss, -grad
+
+        monkeypatch.setattr(unlearn, "loss_and_grad", negated)
+        assert run_suite("fastslow")["pass"] is False
+        assert main(["verify", "--suite", "fastslow"]) == 1
 
 
 class TestCheckGradients:
