@@ -98,7 +98,8 @@ def backward(
         a = inputs[i]
         grads.append((a.T @ dz, dz.sum(axis=0)))
         if i:
-            dz = (dz @ layers[i][0].T) * (a > 0)
+            dz = dz @ layers[i][0].T
+            dz *= a > 0
     grads.reverse()
     return grads
 

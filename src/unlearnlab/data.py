@@ -72,7 +72,15 @@ class ForgetSplit:
     def __post_init__(self):
         for name in ("forget_idx", "remain_idx", "test_idx"):
             values = getattr(self, name)
-            idx = np.asarray(values)
+            try:
+                idx = np.asarray(values)
+                if idx.ndim != 1:
+                    raise ValueError
+            except ValueError:  # also numpy's own error for a ragged nesting
+                raise ValueError(
+                    f"{name} must be one flat list of indices, not a number, a string "
+                    "or nested lists"
+                ) from None
             # A JSON true among integers would otherwise read as 1.
             if idx.size and (idx.dtype.kind not in "iu"
                              or not isinstance(values, np.ndarray) and bool in map(type, values)):
@@ -85,10 +93,11 @@ class ForgetSplit:
             raise ValueError("forget set must be nonempty")
         if len(self.remain_idx) == 0:
             raise ValueError("remain set must be nonempty")
-        every = np.concatenate([self.forget_idx, self.remain_idx, self.test_idx])
-        if every.min() < 0:
-            raise ValueError(f"split indices must be >= 0, got {every.min()}")
-        if len(np.unique(every)) != len(every):
+        # Sorted once, an index that occurs twice sits next to itself.
+        every = np.sort(np.concatenate([self.forget_idx, self.remain_idx, self.test_idx]))
+        if every[0] < 0:
+            raise ValueError(f"split indices must be >= 0, got {every[0]}")
+        if (every[1:] == every[:-1]).any():
             raise ValueError("split index sets overlap")
 
     @property
@@ -107,12 +116,14 @@ def generate_blobs(
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal((class_count, dim))
     means = 2.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    feats = []
-    labels = []
+    # Each class block is drawn straight into its rows of the one feature array.
+    features = np.empty((class_count * n_per_class, dim))
     for c in range(class_count):
-        feats.append(means[c] + spread * rng.standard_normal((n_per_class, dim)))
-        labels.append(np.full(n_per_class, c, dtype=np.int64))
-    return Dataset(np.vstack(feats), np.concatenate(labels), class_count)
+        block = rng.standard_normal(out=features[c * n_per_class : (c + 1) * n_per_class])
+        block *= spread
+        block += means[c]
+    labels = np.repeat(np.arange(class_count, dtype=np.int64), n_per_class)
+    return Dataset(features, labels, class_count)
 
 
 def make_random_subset_split(

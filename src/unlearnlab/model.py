@@ -149,10 +149,16 @@ def _forward(
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"input has shape {x.shape}, expected (batch, {width})")
     inputs = [x]
+    # Bias and relu act in place on the array the matmul just made, so each
+    # layer allocates one activation; the bits are those of np.maximum(a @ w + b, 0).
     for w, b in layers[:-1]:
-        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+        h = inputs[-1] @ w
+        h += b
+        inputs.append(np.maximum(h, 0.0, out=h))
     w, b = layers[-1]
-    return inputs, inputs[-1] @ w + b
+    logits = inputs[-1] @ w
+    logits += b
+    return inputs, logits
 
 
 def forward_logits(theta: np.ndarray, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:

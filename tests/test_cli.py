@@ -335,6 +335,30 @@ def test_split_file_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, text, 
     assert capsys.readouterr().err == f"error: {bad}{suffix} must be a JSON object, got list\n"
 
 
+def _nested(indices):
+    return [[i] for i in indices]
+
+
+@pytest.mark.parametrize("sets", [
+    {"forget_idx": 5, "remain_idx": list(range(1, 96)), "test_idx": list(range(96, 120))},
+    {"forget_idx": [[0]], "remain_idx": list(range(1, 96)), "test_idx": list(range(96, 120))},
+    {"forget_idx": _nested(range(24)), "remain_idx": _nested(range(24, 96)),
+     "test_idx": _nested(range(96, 120))},
+])
+def test_split_index_list_of_the_wrong_shape_names_its_set(tmp_path, capsys, sets):
+    # A number used to escape cli.main as a TypeError, one nested list beside
+    # flat ones got numpy's dimension error, and three nested lists covering
+    # the rows loaded as (k, 1) arrays and failed in the forward pass.
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, tmp_path / "shape")
+    bad = tmp_path / "split.json"
+    bad.write_text(json.dumps({**sets, "mode": {}}))
+    assert main(["retrain", "--config", str(cfg_path), "--split", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: forget_idx must be one flat list of indices, not a number, a string or "
+        "nested lists\n")
+
+
 @pytest.mark.parametrize("provenance_only", [False, True])
 def test_manifest_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, provenance_only):
     out = tmp_path / "shape"

@@ -311,6 +311,14 @@ class TestSplitRoundTrip:
         with pytest.raises(ValueError, match="overlap"):
             load_split(str(p))
 
+    def test_duplicate_within_one_set_rejected_on_load(self, tmp_path):
+        p = tmp_path / "duplicate.json"
+        p.write_text(
+            '{"forget_idx": [0, 1], "remain_idx": [2, 3, 3], "test_idx": [4], "mode": {}}'
+        )
+        with pytest.raises(ValueError, match="overlap"):
+            load_split(str(p))
+
     def test_empty_forget_rejected(self, tmp_path):
         p = tmp_path / "empty.json"
         p.write_text('{"forget_idx": [], "remain_idx": [1], "test_idx": [], "mode": {}}')

@@ -1,13 +1,14 @@
 """MLP over the flat parameter layout."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlearnlab.autodiff import PROB_CLAMP, finite_diff_gradient
+from unlearnlab.autodiff import PROB_CLAMP, finite_diff_gradient, softmax_cross_entropy
 from unlearnlab.metrics import MetricsReport
 from unlearnlab.model import (
     ModelConfig,
@@ -124,6 +125,75 @@ def test_gradient_matches_finite_differences_on_midsize_net():
     _, g_ad = loss_and_grad(theta, cfg, x, y)
     g_fd = finite_diff_gradient(lambda t: loss_and_grad(t, cfg, x, y)[0], theta, 1e-5)
     assert np.abs(g_ad - g_fd).max() / max(np.abs(g_fd).max(), 1e-12) <= 1e-6
+
+
+def _plain_chain(theta, cfg, x, y, weights):
+    """The forward/backward chain written as plain expressions, one new array
+    per operation: the reference the in-place chain must match bit for bit."""
+    layers = unflatten(theta, cfg)
+    inputs = [x]
+    for w, b in layers[:-1]:
+        inputs.append(np.maximum(inputs[-1] @ w + b, 0.0))
+    w, b = layers[-1]
+    logits = inputs[-1] @ w + b
+    loss, dz = softmax_cross_entropy(logits, y, weights)
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads.append((inputs[i].T @ dz, dz.sum(axis=0)))
+        if i:
+            dz = (dz @ layers[i][0].T) * (inputs[i] > 0)
+    return logits, loss, flatten(grads[::-1])
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    n=st.integers(1, 300),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_keeps_its_bits_and_writes_only_its_own_arrays(sizes, n, zero_share, weighted,
+                                                             seed):
+    # Zeroed inputs and parameters give exact-zero pre-activations, and the
+    # negative bias shift gives negative ones; every caller-owned array is
+    # read-only, so a write into one raises.
+    cfg = ModelConfig(layer_sizes=tuple(sizes), seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    theta = init_params(cfg) + 0.5 * rng.standard_normal(param_count(cfg)) - 0.2
+    theta[rng.random(theta.size) < zero_share / 2] = 0.0
+    x = rng.standard_normal((n, sizes[0]))
+    x[rng.random(x.shape) < zero_share] = 0.0
+    y = rng.integers(0, sizes[-1], size=n)
+    weights = _read_only(rng.random(n) * 2.0) if weighted else None
+    theta, x, y = _read_only(theta), _read_only(x), _read_only(y)
+
+    logits, loss, grad = _plain_chain(theta, cfg, x, y, weights)
+    assert forward_logits(theta, cfg, x).tobytes() == logits.tobytes()
+    value, g = loss_and_grad(theta, cfg, x, y, weights)
+    assert value == loss
+    assert g.tobytes() == grad.tobytes()
+
+
+def test_forward_holds_at_most_two_activations():
+    # Through 8-32-32-4 on 4096 rows, the forward pass may hold two
+    # (4096, 32) activations, the logits and 128 KB of slack, and no more.
+    cfg = ModelConfig(layer_sizes=(8, 32, 32, 4), seed=0)
+    theta = init_params(cfg)
+    x = np.random.default_rng(0).standard_normal((4096, 8))
+    forward_logits(theta, cfg, x)
+    tracemalloc.start()
+    try:
+        forward_logits(theta, cfg, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 4096 * 32 * 8 + 4096 * 4 * 8 + 128 * 1024
 
 
 class TestPredict:
