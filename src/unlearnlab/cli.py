@@ -29,14 +29,13 @@ from .data import (
     write_json,
 )
 from .metrics import MARKDOWN_HEADER, MetricsReport, full_report
-from .model import ModelConfig, init_params, strict_arguments, strict_from_dict
+from .model import ModelConfig, coerce, init_params, strict_arguments, strict_from_dict
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, sgd_train
 from .unlearn import METHODS, UnlearnConfig, run_unlearning
 from .verify import SUITES, run_suite
 
 CONFIG_SCHEMA_VERSION = 1
-CONFIG_KEYS = {"schema_version", "output_dir", "seed_list", "dataset", "split", "model",
-               "train", "unlearn"}
+CONFIG_KEYS = {"schema_version", "output_dir", "dataset", "split", "model", "train", "unlearn"}
 
 
 def load_config(path: str) -> dict:
@@ -48,6 +47,8 @@ def load_config(path: str) -> dict:
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
+    if "output_dir" in config:
+        coerce(config["output_dir"], str, "config key 'output_dir'")
     return config
 
 
@@ -118,7 +119,7 @@ def _check_digest(ckpt, ckpt_dir: str, what: str, sha256: str, path: str) -> Non
 def build_split(config: dict, dataset: Dataset):
     spec = json_object(config["split"], "split")
     kinds = {"random_subset": make_random_subset_split, "classwise": make_classwise_split}
-    if spec["kind"] not in kinds:
+    if coerce(spec["kind"], str, "split key 'kind'") not in kinds:
         raise ValueError(f"unknown split kind {spec['kind']!r}")
     return strict_from_dict(kinds[spec["kind"]], _without_kind(spec), "split", dataset)
 
@@ -183,6 +184,8 @@ def cmd_unlearn(args) -> int:
 def cmd_eval(args) -> int:
     ckpt_u = load_checkpoint(args.model)
     ckpt_ref = load_checkpoint(args.reference)
+    rte = coerce(ckpt_u.provenance.get("wall_seconds", 0.0), float,
+                 f"{args.model} provenance key 'wall_seconds'")
     if args.dataset:
         dataset_path = args.dataset
     else:
@@ -192,13 +195,13 @@ def cmd_eval(args) -> int:
                 "eval: no --dataset given and the checkpoint records none\n"
             )
             return 1
-        dataset_path = os.path.join(args.model, recorded)
+        where = f"{args.model} provenance key 'dataset_path'"
+        dataset_path = os.path.join(args.model, coerce(recorded, str, where))
     dataset = load_csv_dataset(dataset_path)
     split = load_split(args.split, len(dataset))
     for ckpt, ckpt_dir in ((ckpt_u, args.model), (ckpt_ref, args.reference)):
         _check_digest(ckpt, ckpt_dir, "dataset", dataset.sha256, dataset_path)
         _check_digest(ckpt, ckpt_dir, "split", split.sha256, args.split)
-    rte = float(ckpt_u.provenance.get("wall_seconds", 0.0))
     report = full_report(ckpt_u, ckpt_ref, dataset, split, rte_seconds=rte)
     write_json(args.out, report.to_dict())
     print(MARKDOWN_HEADER)

@@ -16,13 +16,7 @@ import numpy as np
 
 from .autodiff import log_clamped, softmax
 from .data import Dataset, ForgetSplit
-from .model import (
-    ModelConfig,
-    argmax_labels,
-    forward_logits,
-    predict_labels,
-    strict_from_dict,
-)
+from .model import ModelConfig, argmax_labels, forward_logits, strict_from_dict
 from .trainer import Checkpoint
 
 # The attack classifier is pinned for determinism: single standardized
@@ -80,7 +74,7 @@ def accuracy(
     indices = np.asarray(indices, dtype=np.int64)
     if len(indices) == 0:
         raise ValueError("accuracy over an empty index set is undefined")
-    preds = predict_labels(theta, cfg, dataset.features[indices])
+    preds = argmax_labels(forward_logits(theta, cfg, dataset.features[indices]))
     return float(np.mean(preds == dataset.labels[indices]))
 
 
@@ -172,15 +166,12 @@ def _mean_kl(p_ref: np.ndarray, p_u: np.ndarray) -> float:
     return float(np.mean(np.sum(p_ref * (log_clamped(p_ref) - log_clamped(p_u)), axis=1)))
 
 
-def avg_disparity(report_u: MetricsReport, report_ref: MetricsReport) -> float:
-    """Mean absolute gap over FA/RA/TA/MIA, in percentage points."""
-    gaps = [
-        abs(report_u.fa - report_ref.fa),
-        abs(report_u.ra - report_ref.ra),
-        abs(report_u.ta - report_ref.ta),
-        abs(report_u.mia - report_ref.mia),
-    ]
-    return 100.0 * float(np.mean(gaps))
+def disparity(u, ref) -> tuple[dict, float]:
+    """The gaps 100 * |u[k] - ref[k]| over ``fa``/``ra``/``ta``/``mia``, in
+    percentage points, and their mean, Avg.D. ``u`` and ``ref`` are mappings
+    holding those four fractions."""
+    gaps = {key: 100.0 * abs(u[key] - ref[key]) for key in ("fa", "ra", "ta", "mia")}
+    return gaps, float(np.mean(list(gaps.values())))
 
 
 def _check_same_config(ckpt_u: Checkpoint, ckpt_ref: Checkpoint) -> None:
@@ -261,19 +252,19 @@ def full_report(
     _check_same_config(ckpt_u, ckpt_ref)
     acc, mia, fb_u, p_u = _evaluate(ckpt_u, dataset, split)
     ref, mia_r, fb_r, p_ref = _evaluate_reference(ckpt_ref, dataset, split)
-    gaps = {key: 100.0 * abs(acc[key] - ref[key]) for key in acc}
-    gaps["mia"] = 100.0 * abs(mia - mia_r)
+    ref["mia"] = mia_r
+    gaps, avg_d = disparity({**acc, "mia": mia}, ref)
     provenance = {
         "method": ckpt_u.provenance.get("method"),
         "seeds": ckpt_u.provenance.get("seeds", {}),
-        "reference": {**ref, "mia": mia_r, "role": ckpt_ref.provenance.get("role")},
+        "reference": {**ref, "role": ckpt_ref.provenance.get("role")},
         "mia_fallback": {"model": fb_u, "reference": fb_r},
     }
     return MetricsReport(
         **acc,
         mia=mia,
         kl_to_ref=_mean_kl(p_ref, p_u),
-        avg_d=float(np.mean(list(gaps.values()))),
+        avg_d=avg_d,
         rte_seconds=rte_seconds,
         gaps=gaps,
         provenance=provenance,

@@ -31,9 +31,9 @@ def strict_arguments(fn, d: dict, what: str, *args) -> inspect.BoundArguments:
     naming ``what``; a missing key with no default raises ``KeyError``.
     ``float`` parameters store ``float``; ``int`` parameters (and each entry
     of a ``tuple[int, ...]``) take integral numbers only: ``2.0`` becomes
-    ``2``, ``2.7`` is an error. ``int | None`` also takes ``null``, and
-    ``str`` takes strings only. Arguments are bound positionally where the
-    signature allows.
+    ``2``, ``2.7`` is an error. ``int | None`` also takes ``null``, ``str``
+    takes strings only and ``dict`` JSON objects only. Arguments are bound
+    positionally where the signature allows.
     """
     sig = inspect.signature(fn, eval_str=True)
     params = list(sig.parameters.values())[len(args):]
@@ -43,19 +43,23 @@ def strict_arguments(fn, d: dict, what: str, *args) -> inspect.BoundArguments:
     kwargs = {}
     for p in params:
         if p.name in d:
-            kwargs[p.name] = _coerce(d[p.name], p.annotation, f"{what} key '{p.name}'")
+            kwargs[p.name] = coerce(d[p.name], p.annotation, f"{what} key '{p.name}'")
         elif p.default is inspect.Parameter.empty:
             raise KeyError(p.name)
     return sig.bind(*args, **kwargs)
 
 
-def _coerce(value, kind, where: str):
+def coerce(value, kind, where: str):
+    """``value`` read as ``kind`` by the rules of ``strict_arguments``; a
+    ``ValueError`` names ``where`` otherwise."""
     if kind == int | None:
-        return None if value is None else _coerce(value, int, where)
+        return None if value is None else coerce(value, int, where)
     if kind == tuple[int, ...] and isinstance(value, (list, tuple)):
-        return tuple(_coerce(v, int, where) for v in value)
+        return tuple(coerce(v, int, where) for v in value)
     if kind is str and not isinstance(value, str):
         raise ValueError(f"{where} must be a string, got {value!r}")
+    if kind is dict:
+        return json_object(value, where)
     if kind not in (int, float):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -81,10 +85,6 @@ class ModelConfig:
             raise ValueError(f"layer sizes must be >= 1, got {self.layer_sizes}")
         if self.init_scale <= 0:
             raise ValueError(f"init_scale must be positive, got {self.init_scale}")
-
-    @property
-    def class_count(self) -> int:
-        return self.layer_sizes[-1]
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -195,7 +195,3 @@ def per_sample_losses(
 def argmax_labels(logits: np.ndarray) -> np.ndarray:
     """Row argmax with ties broken toward the lowest class index."""
     return np.argmax(logits, axis=1).astype(np.int64)
-
-
-def predict_labels(theta: np.ndarray, cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    return argmax_labels(forward_logits(theta, cfg, x))

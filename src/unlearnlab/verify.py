@@ -192,18 +192,6 @@ def check_manifold_direction(tb: QuadraticTestbed, alpha: float) -> DirectionChe
     return _compare(oracle, predicted)
 
 
-def manifold_vs_euclidean_identity(tb: QuadraticTestbed, alpha: float) -> float:
-    """Algebraic link between the two directions: the manifold direction is
-    B_r^{-1} applied to the forgetting component of the Euclidean one, scaled
-    by alpha/(alpha*p_r + 1). Returns the residual norm."""
-    forget_component = tb.forget_direction()[1] * tb.p_f
-    atil = alpha * tb.p_f / (alpha * tb.p_r + 1.0)
-    manifold_dir = -atil / tb.p_f * np.linalg.solve(tb.b_mat, forget_component)
-    scale = alpha / (alpha * tb.p_r + 1.0)
-    linked = -scale * np.linalg.solve(tb.b_mat, forget_component)
-    return float(np.linalg.norm(manifold_dir - linked))
-
-
 def _realized_step(theta, cfg, dataset, split, beta_f, beta_r, mask, coeffs):
     """``repaired_point`` on the whole forget set and one whole remain batch:
     returns u = theta - repaired, grad_u (minus the masked weighted forget
@@ -346,17 +334,10 @@ def run_suite(suite: str) -> dict:
 
     if suite in ("prop2", "all"):
         worst = 0.0
-        worst_link = 0.0
         for i in range(10):
             tb = make_random_testbed(dim=2 + i % 7, seed=200 + i)
-            alpha = 0.25 + 0.1 * i
-            worst = max(worst, check_manifold_direction(tb, alpha).residual)
-            worst_link = max(worst_link, manifold_vs_euclidean_identity(tb, alpha))
-        add(
-            "manifold_direction",
-            worst <= 1e-10 and worst_link <= 1e-10,
-            {"max_residual": worst, "max_link_residual": worst_link},
-        )
+            worst = max(worst, check_manifold_direction(tb, 0.25 + 0.1 * i).residual)
+        add("manifold_direction", worst <= 1e-10, {"max_residual": worst})
 
     if suite in ("fastslow", "all"):
         theta, cfg, dataset, split = _fastslow_testbed()

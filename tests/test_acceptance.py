@@ -17,9 +17,8 @@ from unlearnlab.cli import build_split, load_config
 from unlearnlab.cli import main as cli_main
 from unlearnlab.data import generate_blobs, make_random_subset_split
 from unlearnlab.metrics import (
-    MetricsReport,
     accuracy,
-    avg_disparity,
+    disparity,
     empirical_kl,
     entropy_attack,
     full_report,
@@ -276,13 +275,12 @@ def test_criterion_9_metric_sanity():
     high, _ = entropy_attack(member, nonmember, rng.normal(0.1, 0.02, 150))
     low, _ = entropy_attack(member, nonmember, rng.normal(1.4, 0.02, 150))
 
-    def rep(fa, ra, ta, mia):
-        return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia, kl_to_ref=0.0,
-                             avg_d=0.0, rte_seconds=0.0)
+    def avg_d(fa, ra, ta, mia):
+        zero = dict.fromkeys(("fa", "ra", "ta", "mia"), 0.0)
+        return disparity({"fa": fa, "ra": ra, "ta": ta, "mia": mia}, zero)[1]
 
-    zero = rep(0.0, 0.0, 0.0, 0.0)
-    ft_row = avg_disparity(rep(0.0428, 0.0001, 0.0039, 0.1342), zero)
-    fs_row = avg_disparity(rep(0.0096, 0.0012, 0.0115, 0.0258), zero)
+    ft_row = avg_d(0.0428, 0.0001, 0.0039, 0.1342)
+    fs_row = avg_d(0.0096, 0.0012, 0.0115, 0.0258)
     _report(
         "criterion 9 (metric sanity)",
         self_kl <= 1e-12
@@ -297,7 +295,6 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     config = {
         "schema_version": 1,
         "output_dir": "",
-        "seed_list": [0],
         "dataset": {"kind": "blobs", "seed": 71, "n_per_class": 40, "class_count": 3,
                      "dim": 4, "spread": 0.7},
         "split": {"kind": "random_subset", "fraction": 0.2, "test_fraction": 0.2, "seed": 5},

@@ -15,7 +15,6 @@ def _write_config(path, out_dir):
     config = {
         "schema_version": 1,
         "output_dir": str(out_dir),
-        "seed_list": [0],
         "dataset": {
             "kind": "blobs", "seed": 71, "n_per_class": 40, "class_count": 3,
             "dim": 4, "spread": 0.7,
@@ -156,6 +155,7 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     ("dataset", "seed", "71", "dataset key 'seed' must be a number, got '71'"),
     ("split", "fractoin", 0.9, "unknown split keys ['fractoin']"),
     ("split", "seed", 2.7, "split key 'seed' must be an integer, got 2.7"),
+    ("split", "kind", ["classwise"], "split key 'kind' must be a string, got ['classwise']"),
 ])
 def test_bad_dataset_or_split_key_fails_before_training(tmp_path, capsys, table, key, value,
                                                         message):
@@ -195,6 +195,20 @@ def test_unknown_top_level_config_key_is_an_error(tmp_path, capsys):
     assert main(["pretrain", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == "error: unknown config keys ['unlern']\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed_list", [0], "unknown config keys ['seed_list']"),
+    ("output_dir", 5, "config key 'output_dir' must be a string, got 5"),
+])
+def test_bad_top_level_config_entry_is_an_error(tmp_path, capsys, key, value, message):
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, tmp_path / "bad")
+    config[key] = value
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_split_with_a_non_integer_index_is_rejected(tmp_path, capsys):
@@ -380,6 +394,26 @@ def test_manifest_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, provenan
     assert not (out / "r.json").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("wall_seconds", None, "must be a number, got None"),
+    ("dataset_path", 7, "must be a string, got 7"),
+])
+def test_provenance_value_of_the_wrong_type_is_an_error(tmp_path, capsys, key, value,
+                                                        message):
+    out = tmp_path / "prov"
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    pre = out / "pretrain"
+    manifest = json.loads((pre / "manifest.json").read_text())
+    manifest["provenance"][key] = value
+    (pre / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["eval", "--model", str(pre), "--reference", str(pre),
+                 "--split", str(out / "split.json"), "--out", str(out / "r.json")]) == 1
+    assert capsys.readouterr().err == f"error: {pre} provenance key '{key}' {message}\n"
+    assert not (out / "r.json").exists()
+
+
 def _edit_last_digit_of_first_row(csv):
     text = csv.read_text()
     end = text.index("\n", text.index("\n") + 1) - 1
@@ -532,6 +566,16 @@ def test_classwise_split_config(tmp_path):
     labels = np.loadtxt(out / "dataset.csv", delimiter=",", skiprows=1)[:, 0]
     assert not np.any(labels[split["test_idx"]] == 1)
     assert np.all(labels[split["forget_idx"]] == 1)
+
+
+@pytest.mark.parametrize("key", ["provenance", "gaps"])
+def test_report_table_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, key):
+    report = dict.fromkeys(["fa", "ra", "ta", "mia", "kl_to_ref", "avg_d", "rte_seconds"], 0.5)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**report, key: [1]}))
+    assert main(["report", "--inputs", str(path), "--out", str(tmp_path / "t.md")]) == 1
+    assert capsys.readouterr().err == f"error: report key '{key}' must be a JSON object, got list\n"
+    assert not (tmp_path / "t.md").exists()
 
 
 def test_report_aggregation(tmp_path):

@@ -13,18 +13,18 @@ from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_su
 from unlearnlab.metrics import (
     MetricsReport,
     accuracy,
-    avg_disparity,
+    disparity,
     empirical_kl,
     entropy_attack,
     full_report,
 )
 from unlearnlab.model import (
     ModelConfig,
+    argmax_labels,
     flatten,
     forward_logits,
     init_params,
     param_count,
-    predict_labels,
 )
 from unlearnlab.trainer import Checkpoint
 
@@ -265,35 +265,38 @@ class TestEmpiricalKl:
             empirical_kl(a, b, dataset, split)
 
 
-def _report_from_fractions(fa, ra, ta, mia):
-    return MetricsReport(fa=fa, ra=ra, ta=ta, mia=mia, kl_to_ref=0.0, avg_d=0.0,
-                         rte_seconds=0.0)
+def _fractions(fa, ra, ta, mia):
+    return {"fa": fa, "ra": ra, "ta": ta, "mia": mia}
+
+
+def _avg_d(u, ref):
+    return disparity(u, ref)[1]
 
 
 class TestAvgDisparity:
     def test_published_fine_tuning_row(self):
-        ref = _report_from_fractions(0.0, 0.0, 0.0, 0.0)
-        u = _report_from_fractions(0.0428, 0.0001, 0.0039, 0.1342)
-        assert avg_disparity(u, ref) == pytest.approx(4.525, abs=0.01)
+        ref = _fractions(0.0, 0.0, 0.0, 0.0)
+        u = _fractions(0.0428, 0.0001, 0.0039, 0.1342)
+        assert _avg_d(u, ref) == pytest.approx(4.525, abs=0.01)
 
     def test_published_fast_slow_row(self):
-        ref = _report_from_fractions(0.0, 0.0, 0.0, 0.0)
-        u = _report_from_fractions(0.0096, 0.0012, 0.0115, 0.0258)
-        assert avg_disparity(u, ref) == pytest.approx(1.2025, abs=0.01)
+        ref = _fractions(0.0, 0.0, 0.0, 0.0)
+        u = _fractions(0.0096, 0.0012, 0.0115, 0.0258)
+        assert _avg_d(u, ref) == pytest.approx(1.2025, abs=0.01)
 
     def test_identical_reports_zero(self):
-        r = _report_from_fractions(0.9, 0.8, 0.7, 0.6)
-        assert avg_disparity(r, r) == 0.0
+        r = _fractions(0.9, 0.8, 0.7, 0.6)
+        assert _avg_d(r, r) == 0.0
 
     def test_symmetric(self):
-        a = _report_from_fractions(0.9, 0.8, 0.7, 0.6)
-        b = _report_from_fractions(0.5, 0.9, 0.6, 0.9)
-        assert avg_disparity(a, b) == avg_disparity(b, a)
+        a = _fractions(0.9, 0.8, 0.7, 0.6)
+        b = _fractions(0.5, 0.9, 0.6, 0.9)
+        assert _avg_d(a, b) == _avg_d(b, a)
 
     def test_zero_iff_all_gaps_zero(self):
-        a = _report_from_fractions(0.9, 0.8, 0.7, 0.6)
-        b = _report_from_fractions(0.9, 0.8, 0.7, 0.6001)
-        assert avg_disparity(a, b) > 0.0
+        a = _fractions(0.9, 0.8, 0.7, 0.6)
+        b = _fractions(0.9, 0.8, 0.7, 0.6001)
+        assert _avg_d(a, b) > 0.0
 
 
 class TestFullReport:
@@ -432,6 +435,23 @@ def test_warm_reference_memo_gives_the_cold_report(inputs):
     assert warm == [_cold_report(u, ref, dataset, split) for u in units]
 
 
+@settings(max_examples=25, deadline=None)
+@given(report_inputs())
+def test_a_report_agrees_with_its_own_reference(inputs):
+    dataset, split, ref, units = inputs
+    keys = ["fa", "ra", "ta", "mia"]
+    for u in [ref, *units]:
+        report = full_report(u, ref, dataset, split)
+        values, reference = report.to_dict(), report.provenance["reference"]
+        gaps = {key: 100.0 * abs(values[key] - reference[key]) for key in keys}
+        assert list(report.gaps) == keys and report.gaps == gaps
+        assert (report.gaps, report.avg_d) == disparity(values, reference)
+        assert disparity(reference, values) == disparity(values, reference)
+        same = all(values[key] == reference[key] for key in keys)
+        assert (report.avg_d == 0.0) == same
+        assert (u is not ref) or same
+
+
 class TestReferenceMemo:
     def _inputs(self):
         # Rows 114-119 belong to no set, so an index can move to a row no
@@ -450,7 +470,8 @@ class TestReferenceMemo:
     def _flipped_twin(dataset, ref, row):
         """Make spare row 114 a copy of ``row`` whose label flips whether the
         reference classifies it correctly; returns 114."""
-        pred = predict_labels(ref.params, ref.model_config, dataset.features[row:row + 1])[0]
+        pred = argmax_labels(forward_logits(ref.params, ref.model_config,
+                                            dataset.features[row:row + 1]))[0]
         dataset.features[114] = dataset.features[row]
         dataset.labels[114] = (pred + 1) % 3 if dataset.labels[row] == pred else pred
         return 114

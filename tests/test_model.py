@@ -19,7 +19,6 @@ from unlearnlab.model import (
     loss_and_grad,
     param_count,
     per_sample_losses,
-    predict_labels,
     unflatten,
 )
 from unlearnlab.trainer import TrainConfig
@@ -209,11 +208,11 @@ class TestPredict:
         shifted = logits + rng.standard_normal((20, 1))
         assert np.array_equal(argmax_labels(logits), argmax_labels(shifted))
 
-    def test_predict_labels_end_to_end(self):
+    def test_argmax_of_forward_logits_end_to_end(self):
         cfg = ModelConfig(layer_sizes=(2, 2))
         theta = flatten([(np.eye(2), np.zeros(2))])
         x = np.array([[0.1, 0.9], [0.5, 0.5], [2.0, -1.0]])
-        assert np.array_equal(predict_labels(theta, cfg, x), [1, 0, 0])
+        assert np.array_equal(argmax_labels(forward_logits(theta, cfg, x)), [1, 0, 0])
 
 
 def test_clamped_true_class_loss_is_exactly_the_floor():

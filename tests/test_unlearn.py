@@ -11,15 +11,16 @@ from hypothesis.extra.numpy import arrays
 
 from unlearnlab import unlearn
 from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_subset_split
-from unlearnlab.metrics import accuracy
+from unlearnlab.metrics import accuracy, full_report
 from unlearnlab.model import (
     ModelConfig,
     flatten,
     init_params,
     per_sample_losses,
 )
-from unlearnlab.trainer import TrainConfig, sgd_train
+from unlearnlab.trainer import TrainConfig, retrain_oracle, sgd_train
 from unlearnlab.unlearn import (
+    METHODS,
     FisherDiagonals,
     UnlearnConfig,
     adaptive_coefficients,
@@ -371,3 +372,42 @@ def test_saliency_mask_is_monotone_in_gamma(diagonals, gammas):
     mask_low, mask_high = saliency_mask(fd, low), saliency_mask(fd, high)
     assert set(np.unique(mask_low)) <= {0.0, 1.0}
     assert (mask_high <= mask_low).all()
+
+
+def _every_output(dataset, split):
+    """Pretrain, the retrain reference and the six methods on one tiny
+    problem: every parameter vector as bytes, and each method's report."""
+    cfg = ModelConfig(layer_sizes=(5, 8, 4), seed=2)
+    tcfg = TrainConfig(lr=0.3, epochs=5, batch_size=32, momentum=0.9, schedule="cosine", seed=3)
+    pre = sgd_train(init_params(cfg), tcfg, cfg, dataset, split.train_idx)
+    ref = retrain_oracle(cfg, tcfg, dataset, split)
+    params, reports = [pre.params.tobytes(), ref.params.tobytes()], []
+    for method in METHODS:
+        ucfg = UnlearnConfig(method=method, alpha=0.5, beta_f=0.05, beta_r=0.05, t_in=3,
+                             t_out=5, batch_f=16, batch_r=32, seed=4)
+        ckpt = run_unlearning(pre.params, cfg, dataset, split, ucfg)
+        params.append(ckpt.params.tobytes())
+        reports.append(full_report(ckpt, ref, dataset, split).to_dict())
+    return params, reports
+
+
+@pytest.fixture(scope="module")
+def unpermuted():
+    dataset = generate_blobs(seed=17, n_per_class=60, class_count=4, dim=5, spread=0.8)
+    split = make_random_subset_split(dataset, fraction=0.2, test_fraction=0.2, seed=6)
+    return dataset, split, _every_output(dataset, split)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_relabeling_the_rows_changes_no_bit(unpermuted, seed):
+    # Row P[j] moves to row j, so old row i sits at argsort(P)[i]. Every
+    # draw is by position in an index list, and each list keeps its order,
+    # so no output may tell the two datasets apart.
+    dataset, split, expected = unpermuted
+    perm = np.random.default_rng(seed).permutation(len(dataset))
+    moved = np.argsort(perm)
+    permuted = Dataset(dataset.features[perm], dataset.labels[perm], dataset.class_count)
+    relabeled = ForgetSplit(moved[split.forget_idx], moved[split.remain_idx],
+                            moved[split.test_idx], dict(split.mode))
+    assert _every_output(permuted, relabeled) == expected
