@@ -3,10 +3,12 @@
 Every update in the library needs one gradient: weighted softmax
 cross-entropy through a fixed chain of affine layers with relu between them.
 ``softmax_cross_entropy`` gives the loss and its gradient with respect to the
-logits, and ``backward`` carries that gradient back through the layers. The
-library's one softmax and probability clamp live here too, as do the
-finite-difference oracles for gradients and Hessian-vector products, so the
-explicit chain ships next to an independent numerical check.
+logits, and ``backward`` carries that gradient back through the layers.
+``squared_sample_grads`` carries it the same way but sums each row's squared
+gradient, which the Fisher diagonal needs. The library's one softmax and
+probability clamp live here too, as do the finite-difference oracles for
+gradients and Hessian-vector products, so the explicit chain ships next to an
+independent numerical check.
 
 Everything is 64-bit and single-threaded deterministic: identical inputs give
 bit-identical outputs.
@@ -102,6 +104,31 @@ def backward(
             dz *= a > 0
     grads.reverse()
     return grads
+
+
+def squared_sample_grads(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    inputs: list[np.ndarray],
+    dz: np.ndarray,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer sums over the rows of each row's squared gradient.
+
+    Row r's gradient is what ``backward`` gives for that row alone with
+    error ``dz[r]``: its weight gradient is the outer product of the layer
+    input a_r and the carried error δ_r, so the squares sum to (a²)ᵀ(δ²) and
+    the bias squares to Σ δ² (Goodfellow, arXiv 1510.01799). ``dz`` is carried
+    back exactly as ``backward`` carries it.
+    """
+    sums = []
+    for i in range(len(layers) - 1, -1, -1):
+        a = inputs[i]
+        dz2 = dz * dz
+        sums.append(((a * a).T @ dz2, dz2.sum(axis=0)))
+        if i:
+            dz = dz @ layers[i][0].T
+            dz *= a > 0
+    sums.reverse()
+    return sums
 
 
 def finite_diff_gradient(

@@ -42,7 +42,8 @@ def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         config = json_object(json.load(fh), path)
     version = config.get("schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
+    # JSON true and 1.0 compare equal to 1; only the integer itself is version 1.
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version!r}")
     unknown = sorted(set(config) - CONFIG_KEYS)
     if unknown:

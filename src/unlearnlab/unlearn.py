@@ -20,11 +20,22 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, ForgetSplit
-from .model import ModelConfig, loss_and_grad, per_sample_losses, strict_from_dict
+from .autodiff import softmax_cross_entropy, squared_sample_grads
+from .model import (
+    ModelConfig,
+    _forward,
+    flatten,
+    loss_and_grad,
+    per_sample_losses,
+    strict_from_dict,
+    unflatten,
+)
 from .trainer import Checkpoint, TrainConfig, sgd_train
 
 RATIO_GUARD = 1e-12  # saliency denominator floor
 LOSS_FLOOR = 1e-8  # adaptive-coefficient loss floor
+FISHER_BLOCK_ROWS = 1024  # rows per batched pass of the Fisher diagonal
+MASK_MARGIN = 1e-6  # relative distance from gamma that mask_near_gamma counts
 
 METHODS = ("sfr_on", "ft", "ga", "rl", "salun", "joint")
 
@@ -111,12 +122,16 @@ def _squared_grad_diag(
 ) -> np.ndarray:
     if len(idx) == 0:
         raise ValueError("cannot estimate a Fisher diagonal from an empty set")
+    layers = unflatten(theta, cfg)
     acc = np.zeros_like(theta)
-    for i in idx:
-        _, g = loss_and_grad(
-            theta, cfg, dataset.features[i : i + 1], dataset.labels[i : i + 1]
-        )
-        acc += g * g
+    for start in range(0, len(idx), FISHER_BLOCK_ROWS):
+        rows = idx[start : start + FISHER_BLOCK_ROWS]
+        inputs, logits = _forward(layers, dataset.features[rows])
+        # A weight of n scales each row's error by w/n = 1, its batch-1 size;
+        # rows in the clamp region still get zero error.
+        n = len(rows)
+        _, dz = softmax_cross_entropy(logits, dataset.labels[rows], np.full(n, float(n)))
+        acc += flatten(squared_sample_grads(layers, inputs, dz))
     return acc / len(idx)
 
 
@@ -128,19 +143,30 @@ def fisher_diagonals(
 ) -> FisherDiagonals:
     """Squared-gradient diagonals on the forget and remain sets at ``theta0``:
     the mean of elementwise squared per-sample gradients (the Fisher-diagonal
-    estimator)."""
+    estimator). Each set takes one forward and one backward pass per block
+    of ``FISHER_BLOCK_ROWS`` rows, not one gradient call per row."""
     return FisherDiagonals(
         forget=_squared_grad_diag(theta0, cfg, dataset, split.forget_idx),
         remain=_squared_grad_diag(theta0, cfg, dataset, split.remain_idx),
     )
 
 
+def _saliency_ratio(fd: FisherDiagonals) -> np.ndarray:
+    return fd.forget / (fd.remain + RATIO_GUARD)
+
+
 def saliency_mask(fd: FisherDiagonals, gamma: float) -> np.ndarray:
     """0/1 gate per parameter: 1 where forget/(remain + guard) >= gamma."""
     if gamma < 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    ratio = fd.forget / (fd.remain + RATIO_GUARD)
-    return (ratio >= gamma).astype(np.float64)
+    return (_saliency_ratio(fd) >= gamma).astype(np.float64)
+
+
+def mask_near_gamma(fd: FisherDiagonals, gamma: float) -> int:
+    """How many parameters have a saliency ratio within ``MASK_MARGIN``
+    (relative) of ``gamma``: the mask bits that rounding-level changes in the
+    diagonals could flip."""
+    return int((np.abs(_saliency_ratio(fd) - gamma) <= MASK_MARGIN * gamma).sum())
 
 
 def adaptive_coefficients(
@@ -228,6 +254,7 @@ def sfr_on(
     provenance = {
         "forget_batch_loss": fast_losses,
         "mask_kept_fraction": float(mask.mean()),
+        "mask_near_gamma": mask_near_gamma(fd, ucfg.gamma),
     }
     return Checkpoint(theta, model_cfg, provenance)
 

@@ -200,6 +200,8 @@ def test_unknown_top_level_config_key_is_an_error(tmp_path, capsys):
 @pytest.mark.parametrize("key, value, message", [
     ("seed_list", [0], "unknown config keys ['seed_list']"),
     ("output_dir", 5, "config key 'output_dir' must be a string, got 5"),
+    ("schema_version", True, "unsupported config schema_version True"),
+    ("schema_version", 1.0, "unsupported config schema_version 1.0"),
 ])
 def test_bad_top_level_config_entry_is_an_error(tmp_path, capsys, key, value, message):
     cfg_path = tmp_path / "config.json"

@@ -16,7 +16,9 @@ from unlearnlab.model import (
     ModelConfig,
     flatten,
     init_params,
+    loss_and_grad,
     per_sample_losses,
+    unflatten,
 )
 from unlearnlab.trainer import TrainConfig, retrain_oracle, sgd_train
 from unlearnlab.unlearn import (
@@ -48,7 +50,67 @@ def testbed():
     return dataset, split, cfg, pretrained.params
 
 
+def per_row_squared_grads(theta, cfg, dataset, idx):
+    """The Fisher diagonal by its definition: one ``loss_and_grad`` call per
+    row, squared and averaged in index order."""
+    acc = np.zeros_like(theta)
+    for i in idx:
+        _, g = loss_and_grad(theta, cfg, dataset.features[i : i + 1], dataset.labels[i : i + 1])
+        acc += g * g
+    return acc / len(idx)
+
+
+@pytest.fixture(scope="module")
+def oracle_bed():
+    """A (2, 3, 2) relu net, with rows 0-1 handcrafted: row 0 leaves two of
+    the three hidden units dead (one exactly at 0), row 1 puts its true class
+    far below the probability clamp. 2 998 blob rows follow."""
+    cfg = ModelConfig(layer_sizes=(2, 3, 2))
+    w1 = np.array([[1.0, -1.0, 0.5], [0.5, 1.0, -1.0]])
+    b1 = np.array([0.0, 0.0, 0.1])
+    w2 = np.array([[1.0, -1.0], [0.3, 0.2], [0.5, -0.5]])
+    theta = flatten([(w1, b1), (w2, np.array([0.05, -0.05]))])
+    blobs = generate_blobs(seed=5, n_per_class=1499, class_count=2, dim=2, spread=1.5)
+    features = np.vstack([[[-1.0, -1.0], [30.0, 0.0]], blobs.features])
+    labels = np.concatenate([[0, 1], blobs.labels])
+    return Dataset(features, labels, class_count=2), cfg, theta
+
+
 class TestFisherDiagonals:
+    @pytest.mark.parametrize("case", [
+        "over_one_block", "single_row", "repeated", "clamp_row", "dead_relu_row",
+    ])
+    def test_matches_the_per_row_loop(self, oracle_bed, case):
+        dataset, cfg, theta = oracle_bed
+        block = unlearn.FISHER_BLOCK_ROWS
+        idx = {
+            "over_one_block": np.arange(2, 2 + 2 * block + 37),
+            "single_row": np.array([17]),
+            "repeated": np.array([3, 3, 40, 3, 40, 2000]),
+            "clamp_row": np.array([1, 5, 6, 7]),
+            "dead_relu_row": np.array([0, 8, 9]),
+        }[case]
+        remain = np.arange(2, 2 + block // 2)
+        got = unlearn._squared_grad_diag(theta, cfg, dataset, idx)
+        want = per_row_squared_grads(theta, cfg, dataset, idx)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        got_r = unlearn._squared_grad_diag(theta, cfg, dataset, remain)
+        want_r = per_row_squared_grads(theta, cfg, dataset, remain)
+        np.testing.assert_allclose(got_r, want_r, rtol=1e-12, atol=0)
+        for gamma in (0.0, 0.5, 1.0, 2.0):
+            assert np.array_equal(saliency_mask(FisherDiagonals(got, got_r), gamma),
+                                  saliency_mask(FisherDiagonals(want, want_r), gamma))
+
+    def test_clamp_and_dead_relu_rows_add_nothing(self, oracle_bed):
+        dataset, cfg, theta = oracle_bed
+        # Row 0 leaves hidden units 0 and 1 dead: nothing reaches their
+        # weights in or out; row 1 sits in the clamp region and reaches nothing.
+        (w1, b1), (w2, _) = unflatten(
+            unlearn._squared_grad_diag(theta, cfg, dataset, np.array([0])), cfg)
+        assert not (w1[:, :2].any() or b1[:2].any() or w2[:2].any())
+        assert w1[:, 2].all() and w2[2].all()
+        assert not unlearn._squared_grad_diag(theta, cfg, dataset, np.array([1])).any()
+
     def test_opposing_gradients_do_not_cancel(self):
         # Two mirrored samples at the zero model: per-sample bias gradients
         # are exact opposites, so squaring the full-set mean gradient would
@@ -105,6 +167,13 @@ class TestSaliencyMask:
         rng = np.random.default_rng(1)
         fd = FisherDiagonals(rng.uniform(0.1, 5, 20), rng.uniform(0.1, 5, 20))
         assert np.array_equal(saliency_mask(fd, 1e12), np.zeros(20))
+
+    def test_mask_near_gamma_counts_ratios_within_the_margin(self):
+        fd = FisherDiagonals(np.array([2.0, 2.0 + 1e-6, 2.0 - 1e-6, 2.0 + 5e-6, 0.0]),
+                             np.ones(5))
+        assert unlearn.mask_near_gamma(fd, 2.0) == 3
+        assert unlearn.mask_near_gamma(fd, 0.0) == 1
+        assert unlearn.mask_near_gamma(fd, 1e12) == 0
 
 
 class TestAdaptiveCoefficients:
@@ -187,6 +256,18 @@ class TestFastSlow:
         ucfg = UnlearnConfig(method="sfr_on", t_out=7, t_in=1, seed=0)
         ckpt = sfr_on(theta0, cfg, dataset, split, ucfg)
         assert len(ckpt.provenance["forget_batch_loss"]) == 7
+
+    def test_per_row_fisher_gives_the_same_bytes(self, testbed, monkeypatch):
+        dataset, split, cfg, theta0 = testbed
+        ucfg = UnlearnConfig(method="sfr_on", alpha=0.8, beta_f=0.4, beta_r=0.05,
+                             t_in=2, t_out=6, gamma=1.0, seed=13)
+        batched = sfr_on(theta0, cfg, dataset, split, ucfg)
+        monkeypatch.setattr(unlearn, "_squared_grad_diag", per_row_squared_grads)
+        per_row = sfr_on(theta0, cfg, dataset, split, ucfg)
+        assert batched.params.tobytes() == per_row.params.tobytes()
+        assert batched.provenance == per_row.provenance
+        fd = fisher_diagonals(theta0, cfg, dataset, split)
+        assert batched.provenance["mask_near_gamma"] == unlearn.mask_near_gamma(fd, 1.0)
 
 
 class TestBaselines:
