@@ -40,9 +40,9 @@ class Dataset:
             raise ValueError("features must be (N, dim) aligned with labels (N,)")
         if len(self.labels) < 1:
             raise ValueError("dataset must contain at least one sample")
-        finite = np.isfinite(self.features).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
+        # One check over the whole array; the row is looked up only on failure.
+        if not np.isfinite(self.features).all():
+            row = int(np.argmin(np.isfinite(self.features).all(axis=1)))
             raise ValueError(
                 f"features must be finite; row {row} holds {self.features[row]}"
             )

@@ -200,6 +200,47 @@ def test_attack_matches_the_plain_loop(pools):
         assert np.hypot(w - w0, b - b0) <= 1e-12 * np.hypot(w0, b0)
 
 
+def _weak_wide_pool():
+    """A wide-sized pool: 11 000 members and 4 000 non-members drawn from
+    nearly equal distributions, so the fit stays a weak attacker."""
+    rng = np.random.default_rng(20)
+    return np.abs(rng.normal(0.50, 0.1, 11_000)), np.abs(rng.normal(0.51, 0.1, 4_000))
+
+
+def _separated_pool():
+    """Two well-separated pools, so the fit grows into a strong attacker."""
+    rng = np.random.default_rng(21)
+    return rng.normal(0.1, 0.05, 1_000), rng.normal(1.0, 0.05, 800)
+
+
+@pytest.mark.parametrize("pools, inside", [(_weak_wide_pool, True), (_separated_pool, False)],
+                         ids=["series_steps", "row_sum_steps"])
+def test_each_step_kind_matches_the_plain_loop(pools, inside):
+    member, nonmember = pools()
+    pooled = np.concatenate([member, nonmember])
+    grid = np.linspace(pooled.min() - 0.1, pooled.max() + 0.1, 20_000)
+    for target in (member, nonmember, grid):
+        oracle = _oracle_attack(member, nonmember, target)
+        assert entropy_attack(member, nonmember, target) == oracle[:2]
+    z = (pooled - pooled.mean()) / pooled.std()
+    w, b = metrics._fit_attacker(z, len(member))
+    w0, b0 = oracle[2:]
+    assert np.hypot(w - w0, b - b0) <= 1e-12 * np.hypot(w0, b0)
+    # The regime is asserted, so a change to the constants cannot drop a path.
+    assert (abs(w) * np.abs(z).max() <= metrics.MIA_SERIES_RADIUS) == inside
+
+
+def test_sigmoid_series_matches_the_sigmoid_within_its_radius():
+    exps = np.arange(metrics.MIA_SERIES_TERMS + 1)
+    x = np.linspace(-metrics.MIA_SERIES_RADIUS, metrics.MIA_SERIES_RADIUS, 401)
+    for b in np.linspace(-10.0, 10.0, 401):
+        s = 1.0 / (1.0 + np.exp(-b))
+        coeffs = metrics._SIGMOID_SERIES @ s ** np.arange(metrics.MIA_SERIES_TERMS + 2)
+        series = (x[:, None] ** exps) @ coeffs
+        exact = 1.0 / (1.0 + np.exp(-(b + x)))
+        assert (np.abs(series - exact) <= 2e-15 * exact).all()
+
+
 class TestAttackInputs:
     POOLS = {"member": np.linspace(0.1, 0.3, 8), "non-member": np.linspace(0.5, 1.0, 6),
              "target": np.linspace(0.0, 1.0, 5)}
