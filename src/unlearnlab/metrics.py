@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import log_clamped, softmax
+from .autodiff import log_clamped, row_sum, softmax
 from .data import Dataset, ForgetSplit
 from .model import ModelConfig, argmax_labels, forward_logits, strict_from_dict
 from .trainer import Checkpoint
@@ -86,7 +86,9 @@ def accuracy(
 
 def _entropy(probs: np.ndarray) -> np.ndarray:
     """Label-agnostic entropy H_i = -sum_c p_ic ln p_ic, clamped at ``PROB_CLAMP``."""
-    return -np.sum(probs * log_clamped(probs), axis=1)
+    terms = log_clamped(probs)
+    np.multiply(probs, terms, out=terms)
+    return -row_sum(terms)
 
 
 def _entropy_pool(values, name: str) -> np.ndarray:
@@ -223,7 +225,10 @@ def empirical_kl(
 
 def _mean_kl(p_ref: np.ndarray, p_u: np.ndarray) -> float:
     """Mean over rows of sum_c p_ref ln(p_ref / p_u), both clamped in the log."""
-    return float(np.mean(np.sum(p_ref * (log_clamped(p_ref) - log_clamped(p_u)), axis=1)))
+    terms = log_clamped(p_ref)
+    terms -= log_clamped(p_u)
+    np.multiply(p_ref, terms, out=terms)
+    return float(np.mean(row_sum(terms)))
 
 
 def disparity(u, ref) -> tuple[dict, float]:

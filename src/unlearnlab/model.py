@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,19 +141,47 @@ def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return np.concatenate(pieces)
 
 
+# The largest hidden-layer buffer a thread keeps between forward passes, in
+# bytes. A pass whose activation would be larger allocates it afresh.
+FORWARD_BUFFER_MAX_BYTES = 4 << 20
+
+_workspace = threading.local()
+
+
+def _hidden_buffer(layer: int, rows: int, width: int) -> np.ndarray:
+    """A ``(rows, width)`` array for hidden layer ``layer``: a view of this
+    thread's flat buffer for that layer, grown when it is too short, or a new
+    array when the buffer would exceed ``FORWARD_BUFFER_MAX_BYTES``."""
+    size = rows * width
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None:
+        buffers = _workspace.buffers = {}
+    buf = buffers.get(layer)
+    if buf is None or buf.size < size:
+        if 8 * size > FORWARD_BUFFER_MAX_BYTES:
+            return np.empty((rows, width))
+        buf = buffers[layer] = np.empty(size)
+    return buf[:size].reshape(rows, width)
+
+
 def _forward(
     layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each layer's input (the data ``x``, then the relu outputs) and the logits."""
+    """Each layer's input (the data ``x``, then the relu outputs) and the logits.
+
+    The relu outputs are views of this thread's hidden-layer buffers, valid
+    until the thread's next ``_forward``; the logits are a new array.
+    """
     x = np.asarray(x, dtype=np.float64)
     width = layers[0][0].shape[0]
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"input has shape {x.shape}, expected (batch, {width})")
     inputs = [x]
-    # Bias and relu act in place on the array the matmul just made, so each
-    # layer allocates one activation; the bits are those of np.maximum(a @ w + b, 0).
-    for w, b in layers[:-1]:
-        h = inputs[-1] @ w
+    # Each matmul writes into its layer's buffer, and bias and relu act in
+    # place there, so a warm pass allocates no hidden activation; the bits
+    # are those of np.maximum(a @ w + b, 0).
+    for i, (w, b) in enumerate(layers[:-1]):
+        h = np.matmul(inputs[-1], w, out=_hidden_buffer(i, len(x), w.shape[1]))
         h += b
         inputs.append(np.maximum(h, 0.0, out=h))
     w, b = layers[-1]

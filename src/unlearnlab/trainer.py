@@ -180,10 +180,10 @@ def load_checkpoint(directory: str) -> Checkpoint:
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json_object(json.load(fh), manifest_path)
-    if manifest.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint schema_version {manifest.get('schema_version')}"
-        )
+    version = manifest.get("schema_version")
+    # JSON true and 1.0 compare equal to 1; only the integer itself is version 1.
+    if type(version) is not int or version != CHECKPOINT_SCHEMA_VERSION:
+        raise ValueError(f"unsupported checkpoint schema_version {version!r}")
     model_cfg = ModelConfig.from_dict(manifest["model_config"])
     with open(os.path.join(directory, "params.bin"), "rb") as fh:
         blob = fh.read()

@@ -396,6 +396,26 @@ def test_manifest_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, provenan
     assert not (out / "r.json").exists()
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_checkpoint_schema_version_must_be_the_integer_one(tmp_path, capsys, version):
+    # JSON true and 1.0 compare equal to 1, but neither is version 1.
+    out = tmp_path / "version"
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    manifest_path = out / "pretrain" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["schema_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    pre = str(out / "pretrain")
+    capsys.readouterr()
+    assert main(["eval", "--model", pre, "--reference", pre, "--split", str(out / "split.json"),
+                 "--out", str(out / "r.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unsupported checkpoint schema_version {version!r}\n")
+    assert not (out / "r.json").exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("wall_seconds", None, "must be a number, got None"),
     ("dataset_path", 7, "must be a string, got 7"),

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from unlearnlab import metrics
-from unlearnlab.autodiff import softmax
+from unlearnlab.autodiff import PROB_CLAMP, softmax
 from unlearnlab.data import Dataset, ForgetSplit, generate_blobs, make_random_subset_split
 from unlearnlab.metrics import (
     MetricsReport,
@@ -91,6 +92,60 @@ class TestPredictionEntropy:
         theta = init_params(cfg) + rng.standard_normal(param_count(cfg))
         h = metrics._entropy(softmax(forward_logits(theta, cfg, rng.standard_normal((50, 3)))))
         assert (h >= 0).all() and (h <= np.log(6) + 1e-12).all()
+
+
+# The axis=1 numpy expressions the column-by-column reductions must match bit
+# for bit.
+def _softmax_reference(x):
+    expz = np.exp(x - x.max(axis=1, keepdims=True))
+    return expz / expz.sum(axis=1, keepdims=True)
+
+
+def _entropy_reference(p):
+    return -np.sum(p * np.log(np.maximum(p, PROB_CLAMP)), axis=1)
+
+
+def _mean_kl_reference(p, q):
+    log_p, log_q = np.log(np.maximum(p, PROB_CLAMP)), np.log(np.maximum(q, PROB_CLAMP))
+    return float(np.mean(np.sum(p * (log_p - log_q), axis=1)))
+
+
+_EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e300, -1e300, 1e-300,
+                -1e-300, 1.0, 0.25]
+
+
+@st.composite
+def class_arrays(draw):
+    """Two (B, C) arrays for C in 1-16, mixing edge values, ordinary logits and
+    probabilities; some rows are tied throughout."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 16)))
+    element = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-60, 60), st.floats(0, 1))
+    pair = []
+    for _ in range(2):
+        x = draw(arrays(np.float64, shape, elements=element))
+        for row in draw(st.lists(st.integers(0, shape[0] - 1), max_size=3)):
+            x[row] = x[row, 0]
+        pair.append(x)
+    return pair
+
+
+def _bits(a) -> bytes:
+    """The bytes of ``a`` with every NaN written as ``np.nan``. Which of two
+    NaN operands numpy's loops pass on is not fixed: a one-row in-place add
+    of two NaNs keeps the second, an out-of-place one the first."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_arrays())
+def test_class_axis_reductions_match_numpys_row_reduce_bit_for_bit(pair):
+    x, z = pair
+    with np.errstate(all="ignore"):
+        assert _bits(softmax(x)) == _bits(_softmax_reference(x))
+        for p, q in ((x, z), (softmax(x), softmax(z))):
+            assert _bits(metrics._entropy(p)) == _bits(_entropy_reference(p))
+            assert _bits(metrics._mean_kl(p, q)) == _bits(_mean_kl_reference(p, q))
 
 
 class TestEntropyAttack:

@@ -1,6 +1,7 @@
 """MLP over the flat parameter layout."""
 
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unlearnlab import model
 from unlearnlab.autodiff import PROB_CLAMP, finite_diff_gradient, softmax_cross_entropy
 from unlearnlab.metrics import MetricsReport
 from unlearnlab.model import (
+    FORWARD_BUFFER_MAX_BYTES,
     ModelConfig,
     argmax_labels,
     flatten,
@@ -193,6 +196,72 @@ def test_forward_holds_at_most_two_activations():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 4096 * 32 * 8 + 4096 * 4 * 8 + 128 * 1024
+
+
+def _wide_testbed(rows):
+    cfg = ModelConfig(layer_sizes=(8, 32, 32, 4), seed=3)
+    rng = np.random.default_rng(4)
+    theta = init_params(cfg) + 0.1 * rng.standard_normal(param_count(cfg))
+    x = rng.standard_normal((rows, 8))
+    return cfg, theta, x, rng.integers(0, 4, size=rows)
+
+
+def test_the_workspace_state_changes_no_bit(monkeypatch):
+    # The same pass three times: with no buffers yet, with buffers of its own
+    # size, and after a larger pass, when its activations are views of the
+    # front of longer buffers.
+    monkeypatch.setattr(model._workspace, "buffers", {})
+    cfg, theta, x, y = _wide_testbed(700)
+    logits, loss, grad = _plain_chain(theta, cfg, x[:300], y[:300], None)
+    for larger_first in (False, False, True):
+        if larger_first:
+            forward_logits(theta, cfg, x)
+            assert model._workspace.buffers[0].size == 700 * 32
+        assert forward_logits(theta, cfg, x[:300]).tobytes() == logits.tobytes()
+        value, g = loss_and_grad(theta, cfg, x[:300], y[:300])
+        assert value == loss
+        assert g.tobytes() == grad.tobytes()
+
+
+def test_another_threads_forward_leaves_this_threads_activations_alone():
+    cfg, theta, x, _ = _wide_testbed(500)
+    layers = unflatten(theta, cfg)
+    inputs, _ = model._forward(layers, x)
+    kept = [a.copy() for a in inputs]
+    other = threading.Thread(target=model._forward, args=(layers, -x))
+    other.start()
+    other.join()
+    assert all(a.tobytes() == k.tobytes() for a, k in zip(inputs, kept))
+
+
+def test_a_warm_forward_allocates_no_hidden_activation():
+    cfg, theta, x, _ = _wide_testbed(4096)
+    forward_logits(theta, cfg, x)
+    tracemalloc.start()
+    try:
+        forward_logits(theta, cfg, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 32 * 8
+
+
+def test_a_pass_above_the_cap_leaves_the_buffers_as_they_were(monkeypatch):
+    # With the cap at 64 rows of 32, a 65-row pass allocates its activations
+    # afresh and keeps the 40-row buffers.
+    assert FORWARD_BUFFER_MAX_BYTES >= 11_000 * 32 * 8  # a wide remain set fits
+    monkeypatch.setattr(model, "FORWARD_BUFFER_MAX_BYTES", 64 * 32 * 8)
+    monkeypatch.setattr(model._workspace, "buffers", {})
+    cfg, theta, x, y = _wide_testbed(65)
+    layers = unflatten(theta, cfg)
+    model._forward(layers, x[:40])
+    kept = dict(model._workspace.buffers)
+    inputs, logits = model._forward(layers, x)
+    assert model._workspace.buffers.keys() == kept.keys()
+    assert all(model._workspace.buffers[i] is kept[i] for i in kept)
+    assert all(b.size == 40 * 32 for b in kept.values())
+    assert not any(np.shares_memory(a, b) for a in inputs for b in kept.values())
+    assert logits.tobytes() == _plain_chain(theta, cfg, x, y, None)[0].tobytes()
 
 
 class TestPredict:

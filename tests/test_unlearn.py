@@ -206,6 +206,15 @@ class TestAdaptiveCoefficients:
             adaptive_coefficients(np.array([-0.1]), 0, 1, 1.0)
 
 
+def test_a_pool_of_exactly_the_batch_size_is_the_batch_and_draws_nothing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    pool = np.array([9, 2, 7, 4, 11])
+    batch = unlearn._sample_batch(rng, pool, len(pool))
+    assert np.array_equal(batch, pool)
+    assert rng.bit_generator.state == state
+
+
 class TestFastSlow:
     def test_alpha_zero_is_identity(self, testbed):
         dataset, split, cfg, theta0 = testbed
