@@ -9,7 +9,6 @@ be reproduced from its directory alone.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -24,6 +23,7 @@ from .data import (
     load_split,
     make_classwise_split,
     make_random_subset_split,
+    read_json,
     save_csv_dataset,
     save_split,
     write_json,
@@ -39,8 +39,7 @@ CONFIG_KEYS = {"schema_version", "output_dir", "dataset", "split", "model", "tra
 
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json_object(json.load(fh), path)
+    config = json_object(read_json(path), path)
     version = config.get("schema_version")
     # JSON true and 1.0 compare equal to 1; only the integer itself is version 1.
     if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
@@ -75,10 +74,7 @@ def resolve_dataset(config: dict, out_dir: str) -> tuple[Dataset, str]:
     materialized = os.path.join(out_dir, "dataset.csv")
     spec_path = os.path.join(out_dir, "dataset.spec.json")
     if os.path.exists(materialized):
-        recorded = None
-        if os.path.exists(spec_path):
-            with open(spec_path, "r", encoding="utf-8") as fh:
-                recorded = json.load(fh)
+        recorded = read_json(spec_path) if os.path.exists(spec_path) else None
         if recorded != spec:
             raise ValueError(
                 f"{materialized} was generated from dataset spec {recorded}, not "
@@ -225,8 +221,7 @@ def cmd_report(args) -> int:
     """Aggregate per-seed report JSONs into a mean +/- stdev table per method."""
     by_method: dict[str, list[MetricsReport]] = {}
     for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            rep = MetricsReport.from_dict(json.load(fh))
+        rep = MetricsReport.from_dict(read_json(path))
         method = rep.provenance.get("method") or "unknown"
         by_method.setdefault(method, []).append(rep)
     lines = [

@@ -334,6 +334,27 @@ def json_object(value, what: str) -> dict:
     return value
 
 
+def read_json(path: str, raw: bytes | None = None):
+    """The JSON value in the UTF-8 file at ``path``, or in its bytes ``raw``
+    when the caller has read them already. Python's ``json`` reads the
+    non-JSON tokens ``NaN``, ``Infinity`` and ``-Infinity``, and a literal
+    such as ``1e999`` as inf; each of these is a ``ValueError`` here."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+
+    def reject_token(token):
+        raise ValueError(f"{path}: {token} is not a JSON number")
+
+    def finite_float(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: the number {text} is outside the float64 range")
+        return value
+
+    return json.loads(raw.decode("utf-8"), parse_constant=reject_token, parse_float=finite_float)
+
+
 def write_json(path: str, payload) -> None:
     """Write ``payload`` as key-sorted JSON indented by 2, plus a newline.
     Streamed, not built as one string: json.dumps with indent holds every
@@ -362,7 +383,7 @@ def load_split(path: str, n_rows: int | None = None) -> ForgetSplit:
     of an ``n_rows``-row dataset and a split that leaves rows out."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    payload = json_object(json.loads(raw.decode("utf-8")), path)
+    payload = json_object(read_json(path, raw), path)
     split = ForgetSplit(
         forget_idx=payload["forget_idx"],
         remain_idx=payload["remain_idx"],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,15 +19,10 @@ from .data import Dataset, ForgetSplit
 from .model import ModelConfig, argmax_labels, forward_logits, strict_from_dict
 from .trainer import Checkpoint
 
-# The attack classifier is pinned for determinism: single standardized
-# entropy feature, zero init, 500 full-batch gradient steps at lr 0.1.
-MIA_GD_STEPS = 500
-MIA_GD_LR = 0.1
-# Inside |w| * max|z| <= MIA_SERIES_RADIUS a step takes its sums from the
-# sigmoid's Taylor series at b, cut after MIA_SERIES_TERMS terms (see
-# ``_fit_attacker``).
-MIA_SERIES_TERMS = 22
-MIA_SERIES_RADIUS = 0.5
+# The attack classifier is a logistic regression on one standardized entropy
+# feature, fitted to its optimum by Newton's method (``_fit_attacker``); a fit
+# that has not converged after MIA_NEWTON_MAX_STEPS steps raises.
+MIA_NEWTON_MAX_STEPS = 50
 # A constant pool's std() is rounding noise, not always 0.0: its mean can sit
 # a few ulps off the value. A pooled spread of at most this many machine
 # epsilons of the largest |entropy| counts as zero variance.
@@ -100,88 +94,48 @@ def _entropy_pool(values, name: str) -> np.ndarray:
     return pool
 
 
-def _sigmoid_series_table(terms: int) -> np.ndarray:
-    """Row j holds the coefficients, over the powers s^0 .. s^(terms + 1) of
-    s = sigmoid(b), of the j-th Taylor coefficient sigmoid^(j)(b) / j!.
-
-    sigmoid' = s - s^2, so each derivative is a polynomial in s: the next one
-    is the last one's s-derivative times s - s^2. The polynomials are built in
-    exact integers and divided by j! once, with one rounding per entry.
-    """
-    table = np.zeros((terms + 1, terms + 2))
-    poly = [0, 1]  # sigmoid itself: s
-    for j in range(terms + 1):
-        table[j, :len(poly)] = [a / math.factorial(j) for a in poly]
-        nxt = [0] * (len(poly) + 1)
-        for k in range(1, len(poly)):
-            nxt[k] += k * poly[k]
-            nxt[k + 1] -= k * poly[k]
-        poly = nxt
-    return table
-
-
-_SIGMOID_SERIES = _sigmoid_series_table(MIA_SERIES_TERMS)
-
-
 def _fit_attacker(z: np.ndarray, members: int) -> tuple[float, float]:
-    """The pinned gradient descent on the mean logistic loss of ``z``, whose
-    first ``members`` entries are labeled 1 and the rest 0; returns (w, b).
+    """The (w, b) that minimizes the summed logistic loss of p = sigmoid(w * z + b)
+    plus w^2 / 2, with the first ``members`` entries of ``z`` labeled 1 and the
+    rest 0. The intercept is not penalized; the ridge keeps w finite on a
+    separable pool.
 
-    Each step needs the sums of p and of p * z over the rows, with
-    p = sigmoid(w * z + b). The label terms (the sum of ``z`` over members,
-    and their count) are fixed, so they are summed once.
-
-    * Series steps. While |w| * max|z| <= ``MIA_SERIES_RADIUS``, both sums
-      come from the Taylor series of the sigmoid at b, whose coefficients
-      c_j are read off ``_SIGMOID_SERIES`` at s = sigmoid(b):
-      sum p = sum_j c_j w^j M_j and sum p z = sum_j c_j w^j M_(j+1), with the
-      power sums M_k = sum z^k taken once per fit. A step costs O(terms),
-      not O(n). The sigmoid's nearest poles are at b +- i pi, so
-      |c_j| <= 3^-j (checked for b in [-8, 8]); cutting the series after
-      ``MIA_SERIES_TERMS`` = 22 terms at |w z| <= 0.5 leaves less than
-      3e-18 per row, below rounding.
-    * Row-sum steps. Outside the radius (a strong attacker), the step fills
-      a sigmoid buffer over all n rows and takes both sums from one
-      ``(2, n) @ (n,)`` product of the stacked ``[z; 1]`` with it. Its
-      buffers are allocated when the fit first leaves the radius.
+    Newton's method from (0, 0): each step fills p and q = p (1 - p) over the
+    rows in place, takes the gradient (sum (p - y) z + w, sum (p - y)) and the
+    Hessian [[sum q z^2 + 1, sum q z], [sum q z, sum q]] from two products of
+    the stacked ``[z^2; z; 1]`` with them, and solves the 2 x 2 system in
+    closed form. It stops once both step components are at most 1e-12 (1 + |value|).
     """
-    n = len(z)
+    design = np.stack([z * z, z, np.ones_like(z)])
     label_z = float(np.sum(z[:members]))
-    span = float(np.abs(z).max())
-    power_sums = np.empty(MIA_SERIES_TERMS + 2)
-    power = np.ones(n)
-    for k in range(MIA_SERIES_TERMS + 2):
-        power_sums[k] = power.sum()
-        power *= z
-    # Column 0 pairs c_j w^j with M_j (sum p), column 1 with M_(j+1) (sum p z).
-    sums = np.stack([power_sums[:-1], power_sums[1:]], axis=1)
-    w_exps = np.arange(MIA_SERIES_TERMS + 1)
-    s_exps = np.arange(MIA_SERIES_TERMS + 2)
-    design = p = None
-    w = 0.0
-    b = 0.0
-    for _ in range(MIA_GD_STEPS):
-        if abs(w) * span <= MIA_SERIES_RADIUS:
-            s = 1.0 / (1.0 + math.exp(-b))
-            coeffs = (_SIGMOID_SERIES @ s**s_exps) * w**w_exps
-            sum_p, sum_pz = (coeffs @ sums).tolist()
-        else:
-            if design is None:
-                design = np.empty((2, n))
-                design[0] = z
-                design[1] = 1.0
-                p = np.empty(n)
-            # p = 1 / (1 + exp(-(w * z + b))) in place; IEEE rounding is
-            # symmetric in sign, so (-w) * z - b is -(w * z + b) bit for bit.
-            np.multiply(z, -w, out=p)
-            np.subtract(p, b, out=p)
-            np.exp(p, out=p)
-            np.add(p, 1.0, out=p)
-            np.divide(1.0, p, out=p)
-            sum_pz, sum_p = (design @ p).tolist()
-        w -= MIA_GD_LR * (sum_pz - label_z) / n
-        b -= MIA_GD_LR * (sum_p - members) / n
-    return w, b
+    p = np.empty_like(z)
+    q = np.empty_like(z)
+    w = b = 0.0
+    for _ in range(MIA_NEWTON_MAX_STEPS):
+        # p = 1 / (1 + exp(-(w * z + b))) and q = p - p^2, in place.
+        np.multiply(z, -w, out=p)
+        np.subtract(p, b, out=p)
+        np.exp(p, out=p)
+        np.add(p, 1.0, out=p)
+        np.divide(1.0, p, out=p)
+        np.multiply(p, p, out=q)
+        np.subtract(p, q, out=q)
+        sum_pz, sum_p = (design[1:] @ p).tolist()
+        h_ww, h_wb, h_bb = (design @ q).tolist()
+        g_w = sum_pz - label_z + w
+        g_b = sum_p - members
+        h_ww += 1.0
+        det = h_ww * h_bb - h_wb * h_wb
+        step_w = (h_bb * g_w - h_wb * g_b) / det
+        step_b = (h_ww * g_b - h_wb * g_w) / det
+        w -= step_w
+        b -= step_b
+        if abs(step_w) <= 1e-12 * (1.0 + abs(w)) and abs(step_b) <= 1e-12 * (1.0 + abs(b)):
+            return w, b
+    raise RuntimeError(
+        f"entropy attack: the attacker's Newton fit did not converge in "
+        f"{MIA_NEWTON_MAX_STEPS} steps"
+    )
 
 
 def entropy_attack(
@@ -189,7 +143,7 @@ def entropy_attack(
     nonmember_entropy: np.ndarray,
     target_entropy: np.ndarray,
 ) -> tuple[float, bool]:
-    """Fit the pinned logistic attacker and score the target set.
+    """Fit the logistic attacker to its optimum and score the target set.
 
     Members (remain-set entropies) are labeled 1, non-members (test-set
     entropies) 0; the returned rate is the fraction of targets scored >= 0.5.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 import threading
 from dataclasses import dataclass
 
@@ -30,8 +31,9 @@ def strict_arguments(fn, d: dict, what: str, *args) -> inspect.BoundArguments:
 
     A ``d`` that is not a JSON object and an unknown key raise ``ValueError``
     naming ``what``; a missing key with no default raises ``KeyError``.
-    ``float`` parameters store ``float``; ``int`` parameters (and each entry
-    of a ``tuple[int, ...]``) take integral numbers only: ``2.0`` becomes
+    ``float`` parameters store ``float``, and take an integer only inside the
+    float64 range; ``int`` parameters (and each entry of a ``tuple[int, ...]``,
+    which takes a list only) take integral numbers only: ``2.0`` becomes
     ``2``, ``2.7`` is an error. ``int | None`` also takes ``null``, ``str``
     takes strings only and ``dict`` JSON objects only. Arguments are bound
     positionally where the signature allows.
@@ -55,7 +57,9 @@ def coerce(value, kind, where: str):
     ``ValueError`` names ``where`` otherwise."""
     if kind == int | None:
         return None if value is None else coerce(value, int, where)
-    if kind == tuple[int, ...] and isinstance(value, (list, tuple)):
+    if kind == tuple[int, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where} must be a list of integers, got {value!r}")
         return tuple(coerce(v, int, where) for v in value)
     if kind is str and not isinstance(value, str):
         raise ValueError(f"{where} must be a string, got {value!r}")
@@ -67,7 +71,20 @@ def coerce(value, kind, where: str):
         raise ValueError(f"{where} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{where} must be an integer, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # an integer past the float64 range
+        raise ValueError(f"{where} is outside the float64 range") from None
+
+
+def check_finite_floats(config) -> None:
+    """``ValueError`` naming the first ``float`` field of the dataclass
+    ``config`` that holds NaN or an infinity: ``nan <= 0`` is false, so a
+    range check alone lets NaN through."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type in (float, "float") and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +96,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_floats(self)
         object.__setattr__(self, "layer_sizes", tuple(int(s) for s in self.layer_sizes))
         if len(self.layer_sizes) < 2:
             raise ValueError("need at least input and output layer sizes")

@@ -7,15 +7,21 @@ parameter vector, so round-trips are bit-identical.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, ForgetSplit, json_object, write_json
-from .model import ModelConfig, init_params, loss_and_grad, param_count, strict_from_dict
+from .data import Dataset, ForgetSplit, json_object, read_json, write_json
+from .model import (
+    ModelConfig,
+    check_finite_floats,
+    init_params,
+    loss_and_grad,
+    param_count,
+    strict_from_dict,
+)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -30,6 +36,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_floats(self)
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 0:
@@ -178,8 +185,7 @@ def load_checkpoint(directory: str) -> Checkpoint:
     such as the ``param_count``, ``dtype`` and ``blob`` earlier versions
     wrote, are ignored."""
     manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json_object(json.load(fh), manifest_path)
+    manifest = json_object(read_json(manifest_path), manifest_path)
     version = manifest.get("schema_version")
     # JSON true and 1.0 compare equal to 1; only the integer itself is version 1.
     if type(version) is not int or version != CHECKPOINT_SCHEMA_VERSION:

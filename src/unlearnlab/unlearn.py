@@ -24,6 +24,7 @@ from .autodiff import softmax_cross_entropy, squared_sample_grads
 from .model import (
     ModelConfig,
     _forward,
+    check_finite_floats,
     flatten,
     loss_and_grad,
     per_sample_losses,
@@ -69,6 +70,7 @@ class UnlearnConfig:
     salun_top_k: float = 20.0  # percent of parameters kept by the salun mask
 
     def __post_init__(self):
+        check_finite_floats(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected {METHODS}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -375,6 +375,101 @@ def test_split_index_list_of_the_wrong_shape_names_its_set(tmp_path, capsys, set
         "nested lists\n")
 
 
+def _write_with_literal(path, config, literal):
+    """Write ``config`` as JSON with its one "LITERAL" string replaced by the
+    raw JSON text ``literal``, which ``json.dumps`` cannot produce."""
+    text = json.dumps(config)
+    assert text.count('"LITERAL"') == 1
+    path.write_text(text.replace('"LITERAL"', literal))
+
+
+@pytest.mark.parametrize("value", [3, True, None])
+def test_layer_sizes_that_is_not_a_list_is_an_error(tmp_path, capsys, value):
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, tmp_path / "bad")
+    config["model"]["layer_sizes"] = value
+    cfg_path.write_text(json.dumps(config))
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: model config key 'layer_sizes' must be a list of integers, got {value!r}\n")
+    assert not (tmp_path / "bad" / "pretrain").exists()
+
+
+@pytest.mark.parametrize("literal, message", [
+    pytest.param(token, f"{token} is not a JSON number", id=token)
+    for token in ("NaN", "Infinity", "-Infinity")
+] + [pytest.param("1e999", "the number 1e999 is outside the float64 range", id="1e999")])
+@pytest.mark.parametrize("table", ["model", "sfr_on"])
+def test_a_non_finite_config_number_is_an_error(tmp_path, capsys, table, literal, message):
+    # model.init_scale NaN escaped as an OverflowError from the initializer;
+    # sfr_on.gamma NaN or inf ran to exit 0 with a mask of none or all.
+    out = tmp_path / "nonfinite"
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    if table == "model":
+        config["model"]["init_scale"] = "LITERAL"
+        argv = ["pretrain", "--config", str(cfg_path), "--out", str(tmp_path / "again")]
+    else:
+        config["unlearn"]["sfr_on"]["gamma"] = "LITERAL"
+        argv = ["unlearn", "--config", str(cfg_path), "--method", "sfr_on",
+                "--pretrained", str(out / "pretrain"), "--split", str(out / "split.json")]
+    _write_with_literal(cfg_path, config, literal)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+    assert not (tmp_path / "again").exists() and not (out / "unlearn_sfr_on").exists()
+
+
+def test_an_integer_past_the_float_range_is_an_error(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    config = _write_config(cfg_path, tmp_path / "big")
+    config["train"]["lr"] = "LITERAL"
+    _write_with_literal(cfg_path, config, "1" + "0" * 400)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: train config key 'lr' is outside the float64 range\n")
+
+
+@pytest.mark.parametrize("reader", ["split", "manifest", "dataset_spec", "report"])
+def test_every_json_reader_rejects_nan(tmp_path, capsys, reader):
+    out = _run_pipeline(tmp_path, "readers")
+    cfg_path = tmp_path / "config_readers.json"
+    split, pre = out / "split.json", out / "pretrain"
+    paths = {"split": split, "manifest": pre / "manifest.json",
+             "dataset_spec": out / "dataset.spec.json", "report": out / "report_sfr_on.json"}
+    argvs = {
+        "split": ["retrain", "--config", str(cfg_path), "--split", str(split)],
+        "manifest": ["eval", "--model", str(pre), "--reference", str(pre),
+                     "--split", str(split), "--out", str(tmp_path / "r.json")],
+        "dataset_spec": ["retrain", "--config", str(cfg_path), "--split", str(split)],
+        "report": ["report", "--inputs", str(paths["report"])],
+    }
+    payload = json.loads(paths[reader].read_text())
+    payload["LITERAL_KEY"] = "LITERAL"
+    _write_with_literal(paths[reader], payload, "NaN")
+    capsys.readouterr()
+    assert main(argvs[reader]) == 1
+    assert capsys.readouterr().err == f"error: {paths[reader]}: NaN is not a JSON number\n"
+
+
+def test_eval_without_a_dataset_or_a_recorded_one_is_an_error(tmp_path, capsys):
+    out = tmp_path / "nopath"
+    cfg_path = tmp_path / "config.json"
+    _write_config(cfg_path, out)
+    assert main(["pretrain", "--config", str(cfg_path)]) == 0
+    manifest_path = out / "pretrain" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["provenance"]["dataset_path"]
+    manifest_path.write_text(json.dumps(manifest))
+    pre = str(out / "pretrain")
+    capsys.readouterr()
+    assert main(["eval", "--model", pre, "--reference", pre, "--split", str(out / "split.json"),
+                 "--out", str(out / "r.json")]) == 1
+    assert capsys.readouterr().err == "eval: no --dataset given and the checkpoint records none\n"
+    assert not (out / "r.json").exists()
+
+
 @pytest.mark.parametrize("provenance_only", [False, True])
 def test_manifest_of_the_wrong_json_shape_is_an_error(tmp_path, capsys, provenance_only):
     out = tmp_path / "shape"

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -197,22 +197,29 @@ class TestEntropyAttack:
 
 
 def _oracle_attack(member, nonmember, target):
-    """The attacker as one plain loop: each step forms p, p - y and both
-    gradient means afresh. Returns (rate, fallback, w, b)."""
+    """The attacker as plain Newton steps on the summed logistic loss plus
+    w^2 / 2: each step forms p, the gradient and the Hessian afresh from full
+    arrays and solves with ``np.linalg.solve``. Returns (rate, fallback, w, b)."""
     h_train = np.concatenate([member, nonmember]).astype(np.float64)
     y = np.concatenate([np.ones(len(member)), np.zeros(len(nonmember))])
     mu = h_train.mean()
     sigma = h_train.std()
     if sigma <= metrics.MIA_ZERO_SPREAD_EPS * np.finfo(np.float64).eps * np.abs(h_train).max():
         return (1.0 if len(member) >= len(nonmember) else 0.0), True, 0.0, 0.0
-    z = (h_train - mu) / sigma
-    w = 0.0
-    b = 0.0
-    for _ in range(metrics.MIA_GD_STEPS):
-        p = 1.0 / (1.0 + np.exp(-(w * z + b)))
-        err = p - y
-        w -= metrics.MIA_GD_LR * float(np.mean(err * z))
-        b -= metrics.MIA_GD_LR * float(np.mean(err))
+    x = np.stack([(h_train - mu) / sigma, np.ones(len(y))], axis=1)
+    ridge = np.diag([1.0, 0.0])
+    theta = np.zeros(2)
+    for _ in range(metrics.MIA_NEWTON_MAX_STEPS):
+        p = 1.0 / (1.0 + np.exp(-(x @ theta)))
+        grad = x.T @ (p - y) + ridge @ theta
+        hess = x.T @ (x * (p * (1.0 - p))[:, None]) + ridge
+        step = np.linalg.solve(hess, grad)
+        theta = theta - step
+        if (np.abs(step) <= 1e-12 * (1.0 + np.abs(theta))).all():
+            break
+    else:
+        raise AssertionError("the oracle's Newton steps did not converge")
+    w, b = theta.tolist()
     scores = w * ((np.asarray(target, dtype=np.float64) - mu) / sigma) + b
     return float(np.mean(scores >= 0.0)), False, w, b
 
@@ -263,14 +270,13 @@ def _weak_wide_pool():
 
 
 def _separated_pool():
-    """Two well-separated pools, so the fit grows into a strong attacker."""
+    """Two well-separated pools, so the fit is a strong attacker."""
     rng = np.random.default_rng(21)
     return rng.normal(0.1, 0.05, 1_000), rng.normal(1.0, 0.05, 800)
 
 
-@pytest.mark.parametrize("pools, inside", [(_weak_wide_pool, True), (_separated_pool, False)],
-                         ids=["series_steps", "row_sum_steps"])
-def test_each_step_kind_matches_the_plain_loop(pools, inside):
+@pytest.mark.parametrize("pools", [_weak_wide_pool, _separated_pool], ids=["weak", "strong"])
+def test_weak_and_strong_attackers_match_the_plain_loop(pools):
     member, nonmember = pools()
     pooled = np.concatenate([member, nonmember])
     grid = np.linspace(pooled.min() - 0.1, pooled.max() + 0.1, 20_000)
@@ -281,19 +287,28 @@ def test_each_step_kind_matches_the_plain_loop(pools, inside):
     w, b = metrics._fit_attacker(z, len(member))
     w0, b0 = oracle[2:]
     assert np.hypot(w - w0, b - b0) <= 1e-12 * np.hypot(w0, b0)
-    # The regime is asserted, so a change to the constants cannot drop a path.
-    assert (abs(w) * np.abs(z).max() <= metrics.MIA_SERIES_RADIUS) == inside
 
 
-def test_sigmoid_series_matches_the_sigmoid_within_its_radius():
-    exps = np.arange(metrics.MIA_SERIES_TERMS + 1)
-    x = np.linspace(-metrics.MIA_SERIES_RADIUS, metrics.MIA_SERIES_RADIUS, 401)
-    for b in np.linspace(-10.0, 10.0, 401):
-        s = 1.0 / (1.0 + np.exp(-b))
-        coeffs = metrics._SIGMOID_SERIES @ s ** np.arange(metrics.MIA_SERIES_TERMS + 2)
-        series = (x[:, None] ** exps) @ coeffs
-        exact = 1.0 / (1.0 + np.exp(-(b + x)))
-        assert (np.abs(series - exact) <= 2e-15 * exact).all()
+@settings(max_examples=60, deadline=None)
+@given(entropy_pools())
+def test_the_fit_zeroes_the_ridge_loss_gradient(pools):
+    member, nonmember = pools
+    pooled = np.concatenate([member, nonmember])
+    assume(not entropy_attack(member, nonmember, member)[1])
+    z = (pooled - pooled.mean()) / pooled.std()
+    y = np.concatenate([np.ones(len(member)), np.zeros(len(nonmember))])
+    w, b = metrics._fit_attacker(z, len(member))
+    err = 1.0 / (1.0 + np.exp(-(w * z + b))) - y
+    # Each component against the sum of its terms' magnitudes.
+    assert abs(err @ z + w) <= 1e-9 * (np.abs(err) @ np.abs(z) + abs(w))
+    assert abs(err.sum()) <= 1e-9 * np.abs(err).sum()
+
+
+def test_a_fit_that_reaches_the_step_cap_raises(monkeypatch):
+    member, nonmember = _weak_wide_pool()
+    monkeypatch.setattr(metrics, "MIA_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 steps"):
+        entropy_attack(member, nonmember, member)
 
 
 class TestAttackInputs:

@@ -1,5 +1,6 @@
 """MLP over the flat parameter layout."""
 
+import dataclasses
 import json
 import threading
 import tracemalloc
@@ -35,6 +36,23 @@ def test_config_validation():
         ModelConfig(layer_sizes=(5, 0, 2))
     with pytest.raises(ValueError):
         ModelConfig(layer_sizes=(5, 2), init_scale=0.0)
+
+
+FLOAT_FIELDS = [(ModelConfig(layer_sizes=(5, 2)), "init_scale")]
+FLOAT_FIELDS += [(TrainConfig(lr=0.1, epochs=1, batch_size=8), name)
+                 for name in ("lr", "momentum")]
+FLOAT_FIELDS += [(UnlearnConfig(method="sfr_on"), name)
+                 for name in ("alpha", "beta_f", "beta_r", "lambda_temp", "gamma", "salun_top_k")]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("config, name", FLOAT_FIELDS,
+                         ids=[f"{type(c).__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_every_float_config_field_must_be_finite(config, name, bad):
+    # NaN passes a range check such as lr <= 0, since every comparison with
+    # it is false.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+        dataclasses.replace(config, **{name: bad})
 
 
 class TestInit:
